@@ -22,9 +22,9 @@
 //! the store maps to recompute-and-overwrite, never a wrong figure).
 //! The key echo catches objects renamed or copied to the wrong
 //! address; the trailing checksum catches truncation and bit rot —
-//! relevant because a killed `repro` must never poison `--resume`
-//! (writes are also temp-file + rename, so a torn write is unreachable
-//! short of filesystem corruption).
+//! relevant because a killed `repro` must never poison the rerun that
+//! resumes it (writes are also temp-file + rename, so a torn write is
+//! unreachable short of filesystem corruption).
 
 use crate::hash::{CellKey, SipHasher24};
 use desc_telemetry::{MetricValue, Snapshot, HISTOGRAM_BUCKETS};

@@ -4,8 +4,8 @@
 //! and the ablations sweep overlapping `(config, scheme, seed, scale)`
 //! cells — and a full `repro all` recomputes every cell from scratch.
 //! This crate memoizes completed cells so repeat and overlapping
-//! sweeps are near-free and an interrupted run resumes where it
-//! stopped:
+//! sweeps are near-free and a rerun over the same directory resumes an
+//! interrupted one where it stopped:
 //!
 //! - [`hash`] — an in-tree deterministic hasher ([`KeyHasher`], two
 //!   fixed-key SipHash-2-4 lanes) producing the 128-bit [`CellKey`]
@@ -21,9 +21,6 @@
 //!   eviction counters surfaced as `cache.*` metrics and a
 //!   single-flight registry ([`CacheStore::begin_flight`]) so
 //!   concurrent callers compute each cold cell exactly once.
-//! - [`manifest`] — the advisory append-only completion log behind
-//!   `repro --resume`, rewritten atomically per append and tolerant
-//!   of damage.
 //!
 //! What a cached entry *means* (which config/profile fields are
 //! hashed, what the payload encodes, when the schema version bumps)
@@ -52,7 +49,6 @@
 
 pub mod codec;
 pub mod hash;
-pub mod manifest;
 pub mod store;
 
 pub use codec::{
@@ -60,5 +56,4 @@ pub use codec::{
     Entry, ENTRY_MAGIC,
 };
 pub use hash::{CellKey, KeyHasher, SipHasher24};
-pub use manifest::{write_atomic, Manifest};
 pub use store::{CacheStats, CacheStore, FlightLease, FlightOutcome, DEFAULT_MEM_BYTES};

@@ -13,11 +13,10 @@
 //! - **Store of record**: one file per cell at
 //!   `<dir>/objects/<first 2 hex>/<32 hex>.cell`, written atomically
 //!   (temp + rename) in the versioned, checksummed entry format of
-//!   [`crate::codec`]. Lookups *probe* the filesystem — the manifest
-//!   is never consulted for reads — so the store self-heals: deleting
-//!   any object just makes that cell recompute.
-//! - **Manifest**: an advisory append-only completion log (see
-//!   [`crate::manifest`]) driving `--resume` reporting.
+//!   [`crate::codec`]. Lookups *probe* the filesystem, so the store
+//!   self-heals (deleting any object just makes that cell recompute)
+//!   and a rerun over the same directory resumes an interrupted sweep:
+//!   every banked cell hits, everything else computes.
 //! - **Single flight**: [`CacheStore::begin_flight`] registers a cold
 //!   cell as in flight; the first caller leads and computes while
 //!   later callers wait on the leader's slot and receive the
@@ -28,9 +27,9 @@
 //! Every outcome is counted ([`CacheStats`]) and mirrored into
 //! `cache.*` registry counters while telemetry is enabled, which is
 //! how the hit/miss counters reach the `cache` stanza of
-//! `desc-run-report/v1` and `bench_pipeline`'s cache axis. `cache.*`
-//! names are excluded from metric capture and from determinism
-//! comparisons, like `pool.*`.
+//! `desc-run-report/v2` ([`CacheStore::report`]) and `bench_pipeline`'s
+//! cache axis. `cache.*` names are excluded from metric capture and
+//! from determinism comparisons, like `pool.*`.
 //!
 //! A lookup never returns a wrong or stale result class: entries are
 //! validated (checksum, version, key echo) at decode time, and a
@@ -41,9 +40,9 @@
 
 use crate::codec::{decode_entry, encode_entry, CodecError, Entry};
 use crate::hash::CellKey;
-use crate::manifest::{write_atomic, Manifest};
-use desc_telemetry::Snapshot;
+use desc_telemetry::{CacheReport, Snapshot};
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -303,8 +302,33 @@ pub struct CacheStore {
     hot: Mutex<HotTier>,
     inflight: Mutex<HashMap<CellKey, Arc<Flight>>>,
     single_flight: AtomicBool,
-    manifest: Option<Mutex<Manifest>>,
     stats: StatCells,
+}
+
+/// Writes `bytes` to `path` atomically: a temp file in the same
+/// directory (same filesystem, so the rename cannot cross devices),
+/// then a rename over the target. A crash at any point leaves either
+/// the old file or the new one, never a torn mix. The temp name
+/// carries the pid and a per-process sequence number, so concurrent
+/// writers of one path — across processes or threads — never share a
+/// temp file.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{stem}.tmp.{}.{seq}", std::process::id()));
+    let result = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        // Contents reach the disk before the rename publishes them.
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Hot-tier byte budget: `DESC_CACHE_MEM_BYTES` when set to a
@@ -329,7 +353,6 @@ impl CacheStore {
             hot: Mutex::new(HotTier::new(mem_budget_from_env())),
             inflight: Mutex::new(HashMap::new()),
             single_flight: AtomicBool::new(true),
-            manifest: None,
             stats: StatCells::default(),
         }
     }
@@ -353,10 +376,9 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Fails when the directory cannot be created, written (probed
-    /// with an atomic write), or its manifest cannot be read — the
-    /// conditions `repro` maps to its cache exit code. A *damaged*
-    /// manifest is not an error (tolerant loader).
+    /// Fails when the directory cannot be created or written (probed
+    /// with an atomic write) — the conditions `repro` maps to its
+    /// cache exit code.
     pub fn open(dir: impl Into<PathBuf>, version: u32) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(dir.join("objects"))?;
@@ -365,14 +387,12 @@ impl CacheStore {
         let probe = dir.join(".probe");
         write_atomic(&probe, b"desc-cache")?;
         std::fs::remove_file(&probe)?;
-        let manifest = Manifest::load(dir.join("manifest"))?;
         Ok(Self {
             dir: Some(dir),
             version,
             hot: Mutex::new(HotTier::new(mem_budget_from_env())),
             inflight: Mutex::new(HashMap::new()),
             single_flight: AtomicBool::new(true),
-            manifest: Some(Mutex::new(manifest)),
             stats: StatCells::default(),
         })
     }
@@ -471,10 +491,9 @@ impl CacheStore {
     }
 
     /// Stores a computed cell under `key` (hot map immediately; object
-    /// file atomically; manifest recorded last, so a manifest entry
-    /// implies its object was published). Write failures are counted,
-    /// never raised — a broken disk degrades the cache to memory-only
-    /// behavior rather than failing the run.
+    /// file atomically). Write failures are counted, never raised — a
+    /// broken disk degrades the cache to memory-only behavior rather
+    /// than failing the run.
     pub fn store(&self, key: &CellKey, payload: Vec<u8>, delta: Option<Snapshot>) {
         let _ = self.store_entry(key, payload, delta);
     }
@@ -494,16 +513,6 @@ impl CacheStore {
             .and_then(|()| write_atomic(&path, &bytes));
         if written.is_err() {
             self.bump(&self.stats.errors, "cache.errors");
-            return entry;
-        }
-        if let Some(manifest) = &self.manifest {
-            let recorded = manifest
-                .lock()
-                .expect("manifest poisoned")
-                .record(*key, self.version);
-            if recorded.is_err() {
-                self.bump(&self.stats.errors, "cache.errors");
-            }
         }
         entry
     }
@@ -611,23 +620,26 @@ impl CacheStore {
         }
     }
 
-    /// `(key, version)` entries in the manifest (0 for memory-only
-    /// stores).
+    /// The `cache` stanza of a run report: the backing directory,
+    /// schema version and current counters.
     #[must_use]
-    pub fn manifest_cells(&self) -> u64 {
-        self.manifest
-            .as_ref()
-            .map(|m| m.lock().expect("manifest poisoned").len() as u64)
-            .unwrap_or(0)
-    }
-
-    /// Malformed manifest lines dropped at load (0 for memory-only).
-    #[must_use]
-    pub fn manifest_skipped(&self) -> u64 {
-        self.manifest
-            .as_ref()
-            .map(|m| m.lock().expect("manifest poisoned").skipped())
-            .unwrap_or(0)
+    pub fn report(&self) -> CacheReport {
+        let s = self.stats();
+        CacheReport {
+            dir: self.dir().map(|p| p.display().to_string()),
+            schema_version: u64::from(self.version),
+            hits_memory: s.hits_memory,
+            hits_disk: s.hits_disk,
+            misses: s.misses,
+            stores: s.stores,
+            version_mismatches: s.version_mismatches,
+            errors: s.errors,
+            evictions: s.evictions,
+            inflight_leads: s.inflight_leads,
+            inflight_waits: s.inflight_waits,
+            inflight_hits: s.inflight_hits,
+            inflight_handoffs: s.inflight_handoffs,
+        }
     }
 
     fn bump(&self, cell: &AtomicU64, metric: &str) {
@@ -684,7 +696,6 @@ mod tests {
         {
             let store = CacheStore::open(&dir, 1).unwrap();
             store.store(&key(7), b"result".to_vec(), None);
-            assert_eq!(store.manifest_cells(), 1);
         }
         let store = CacheStore::open(&dir, 1).unwrap();
         let hit = store.lookup(&key(7), false).expect("disk hit");
@@ -693,7 +704,6 @@ mod tests {
         // Second lookup is served hot.
         store.lookup(&key(7), false).unwrap();
         assert_eq!(store.stats().hits_memory, 1);
-        assert_eq!(store.manifest_cells(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -899,6 +909,68 @@ mod tests {
         store.store(&key(34), vec![0u8; 40], None);
         assert!(store.lookup(&key(31), false).is_some(), "touched entry survives");
         assert!(store.lookup(&key(32), false).is_none(), "LRU entry evicted");
+    }
+
+    #[test]
+    fn atomic_write_leaves_no_temp_files() {
+        let dir = tmp_dir("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("target");
+        write_atomic(&path, b"one").unwrap();
+        write_atomic(&path, b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "target")
+            .collect();
+        assert!(leftovers.is_empty(), "stray files: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_never_share_a_temp_file() {
+        // Single-flight off (the contention baseline) or the corrupt-
+        // entry retry path can store one key from several threads at
+        // once; each write must go through its own temp file.
+        let dir = tmp_dir("racing");
+        let store = Arc::new(CacheStore::open(&dir, 1).unwrap());
+        let payload: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let writers: Vec<_> = (0..8)
+            .map(|_| {
+                let (store, payload, barrier) =
+                    (Arc::clone(&store), payload.clone(), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    store.store(&key(41), payload, None);
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(store.stats().errors, 0, "{:?}", store.stats());
+        let fresh = CacheStore::open(&dir, 1).unwrap();
+        assert_eq!(fresh.lookup(&key(41), false).expect("object decodes").payload, payload);
+        let object = store.object_path(&dir, &key(41));
+        let leftovers: Vec<_> = std::fs::read_dir(object.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn report_mirrors_the_counters() {
+        let store = CacheStore::in_memory(3);
+        store.store(&key(51), vec![1], None);
+        store.lookup(&key(51), false).unwrap();
+        let report = store.report();
+        assert_eq!(report.dir, None);
+        assert_eq!((report.schema_version, report.stores, report.hits_memory), (3, 1, 1));
     }
 
     #[test]

@@ -66,7 +66,7 @@
 //! executing thread accumulates busy time under its stable
 //! [`desc_telemetry::current_worker`] ordinal. [`utilization`] exports
 //! the whole picture as the `pool_utilization` stanza of
-//! `desc-run-report/v1`. When telemetry is disabled none of this reads
+//! `desc-run-report/v2`. When telemetry is disabled none of this reads
 //! a clock or takes a lock — the only residue is the pool's lifetime
 //! [`stats`] counters, which are plain relaxed atomics on cold paths.
 //!
@@ -171,6 +171,17 @@ struct WorkerCell {
     tasks: AtomicU64,
 }
 
+impl WorkerCell {
+    /// Counts one finished task; only an outermost task adds its run
+    /// time (see [`IN_TASK`]).
+    fn record(&self, outermost: bool, run_us: u64) {
+        if outermost {
+            self.busy_us.fetch_add(run_us, Ordering::Relaxed);
+        }
+        self.tasks.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 fn worker_cells() -> &'static Mutex<BTreeMap<u32, Arc<WorkerCell>>> {
     static CELLS: OnceLock<Mutex<BTreeMap<u32, Arc<WorkerCell>>>> = OnceLock::new();
     CELLS.get_or_init(|| Mutex::new(BTreeMap::new()))
@@ -185,7 +196,8 @@ thread_local! {
     };
 
     /// True while this thread is executing a region task; a region
-    /// submitted in that state is a nested fork-join.
+    /// submitted in that state is a nested fork-join, and its tasks'
+    /// run time is already inside the enclosing task's busy time.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -642,6 +654,10 @@ impl Region {
         // And the fair-share group, so nested regions are charged to
         // the same client.
         let _group = install_group(Some(self.group.clone()));
+        // A thread already inside a task (nested fork-join) is busy for
+        // the whole enclosing task; only the outermost task adds busy
+        // time, so a worker's busy time never exceeds its wall time.
+        let outermost = !IN_TASK.with(Cell::get);
         let mut ran = 0u64;
         while (ran as usize) < limit {
             let Some(i) = self.claim() else { break };
@@ -664,10 +680,7 @@ impl Region {
             if let (Some(agg), Some(start_us)) = (&self.agg, start_us) {
                 let run_us = desc_telemetry::now_us().saturating_sub(start_us);
                 agg.record(start_us.saturating_sub(self.submitted_us), run_us);
-                WORKER_CELL.with(|cell| {
-                    cell.busy_us.fetch_add(run_us, Ordering::Relaxed);
-                    cell.tasks.fetch_add(1, Ordering::Relaxed);
-                });
+                WORKER_CELL.with(|cell| cell.record(outermost, run_us));
             }
             match outcome {
                 Ok(()) => self.complete(1),
@@ -894,7 +907,7 @@ pub fn stats() -> PoolStats {
 
 /// Wall-clock utilization of the pool on the shared trace timebase:
 /// per-worker busy time and per-region-label queue-wait / run-time
-/// distributions, in the shape the `desc-run-report/v1`
+/// distributions, in the shape the `desc-run-report/v2`
 /// `pool_utilization` stanza serializes. Only populated while
 /// telemetry is enabled (per-task clocks are off otherwise); worker
 /// ordinals match span lanes and [`desc_telemetry::worker_names`].
@@ -945,11 +958,14 @@ pub fn utilization() -> desc_telemetry::PoolUtilization {
 struct TaskTimer {
     agg: Arc<RegionAgg>,
     opened_us: u64,
+    /// False when the region runs inside another task, whose busy
+    /// time already covers it.
+    outermost: bool,
 }
 
 impl TaskTimer {
-    fn new(label: &'static str) -> Self {
-        TaskTimer { agg: region_agg(label), opened_us: desc_telemetry::now_us() }
+    fn new(label: &'static str, outermost: bool) -> Self {
+        TaskTimer { agg: region_agg(label), opened_us: desc_telemetry::now_us(), outermost }
     }
 
     fn time<R>(&self, g: impl FnOnce() -> R) -> R {
@@ -957,10 +973,7 @@ impl TaskTimer {
         let result = g();
         let run_us = desc_telemetry::now_us().saturating_sub(start_us);
         self.agg.record(start_us.saturating_sub(self.opened_us), run_us);
-        WORKER_CELL.with(|cell| {
-            cell.busy_us.fetch_add(run_us, Ordering::Relaxed);
-            cell.tasks.fetch_add(1, Ordering::Relaxed);
-        });
+        WORKER_CELL.with(|cell| cell.record(self.outermost, run_us));
         result
     }
 }
@@ -1016,7 +1029,7 @@ where
     if cap == 1 || pool.spawned.load(Ordering::Relaxed) == 0 {
         pool.inline.fetch_add(total as u64, Ordering::Relaxed);
         pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        let _in_task = InTaskGuard { was: IN_TASK.with(|fl| fl.replace(true)) };
+        let in_task = InTaskGuard { was: IN_TASK.with(|fl| fl.replace(true)) };
         let cancel = current_cancel();
         let check = |i: usize| {
             if let Some(token) = &cancel {
@@ -1027,7 +1040,7 @@ where
             i
         };
         if desc_telemetry::enabled() {
-            let timer = TaskTimer::new(label);
+            let timer = TaskTimer::new(label, !in_task.was);
             return (0..total).map(|i| timer.time(|| f(check(i)))).collect();
         }
         return (0..total).map(|i| f(check(i))).collect();
@@ -1121,7 +1134,7 @@ where
     if cap == 1 || pool.spawned.load(Ordering::Relaxed) == 0 {
         pool.inline.fetch_add(total as u64, Ordering::Relaxed);
         pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        let _in_task = InTaskGuard { was: IN_TASK.with(|fl| fl.replace(true)) };
+        let in_task = InTaskGuard { was: IN_TASK.with(|fl| fl.replace(true)) };
         let cancel = current_cancel();
         let check = || {
             if let Some(token) = &cancel {
@@ -1131,7 +1144,7 @@ where
             }
         };
         if desc_telemetry::enabled() {
-            let timer = TaskTimer::new(label);
+            let timer = TaskTimer::new(label, !in_task.was);
             for (i, s) in states.iter_mut().enumerate() {
                 check();
                 timer.time(|| f(i, s));

@@ -40,8 +40,7 @@ const EXIT_UNKNOWN_EXPERIMENT: u8 = 3;
 /// A requested output file (`--report`, `--trace`) could not be
 /// written.
 const EXIT_WRITE_FAILED: u8 = 4;
-/// `--cache-dir` could not be opened (created, probed writable, or
-/// its manifest read).
+/// `--cache-dir` could not be opened (created or probed writable).
 const EXIT_CACHE: u8 = 5;
 
 /// Prints a usage-class error and returns the usage exit code.
@@ -64,7 +63,6 @@ fn main() -> ExitCode {
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut no_cache = false;
-    let mut resume = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -112,7 +110,6 @@ fn main() -> ExitCode {
                 _ => return usage_error("--cache-dir needs a directory path argument"),
             },
             "--no-cache" => no_cache = true,
-            "--resume" => resume = true,
             "--trace" => match iter.next() {
                 Some(path) if !path.is_empty() => {
                     trace_path = Some(std::path::PathBuf::from(path));
@@ -129,7 +126,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: repro [--quick|--tiny] [--csv] [--quiet] [--seed N] [--accesses N] \
                      [--apps N] [--jobs N] [--shards N] [--report PATH] [--trace PATH] \
-                     [--cache-dir DIR [--no-cache] [--resume]] <experiment...|all>\n\
+                     [--cache-dir DIR [--no-cache]] <experiment...|all>\n\
                      --jobs N      run up to N sweep cells concurrently; results are\n\
                      bit-identical for any N (default: all hardware threads)\n\
                      --shards N    run up to N of each cell's bank partitions concurrently;\n\
@@ -143,10 +140,9 @@ fn main() -> ExitCode {
                      see docs/TELEMETRY.md\n\
                      --cache-dir DIR  memoize completed sweep cells under DIR and serve\n\
                      repeat cells from it; warm results are byte-identical\n\
-                     to cold ones (see docs/CACHE.md)\n\
+                     to cold ones; rerunning with the same DIR resumes an\n\
+                     interrupted run (see docs/CACHE.md)\n\
                      --no-cache    ignore --cache-dir for this run (no reads or writes)\n\
-                     --resume      continue an interrupted run from DIR's manifest;\n\
-                     requires --cache-dir\n\
                      --quiet       suppress the live progress line on stderr\n\
                      --progress    force the live progress line even when stderr is\n\
                      not a terminal\n\
@@ -185,9 +181,6 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_UNKNOWN_EXPERIMENT);
         }
     }
-    if resume && (cache_dir.is_none() || no_cache) {
-        return usage_error("--resume requires --cache-dir (and is meaningless with --no-cache)");
-    }
     let telemetry = report_path.is_some() || trace_path.is_some();
     if telemetry {
         desc_telemetry::set_enabled(true);
@@ -200,20 +193,6 @@ fn main() -> ExitCode {
                 Ok(store) => {
                     let store = std::sync::Arc::new(store);
                     desc_experiments::cache::install(Some(std::sync::Arc::clone(&store)));
-                    if store.manifest_skipped() > 0 {
-                        eprintln!(
-                            "repro: warning: dropped {} malformed manifest line(s) in {}",
-                            store.manifest_skipped(),
-                            dir.display()
-                        );
-                    }
-                    if resume {
-                        eprintln!(
-                            "repro: resuming from {} ({} completed cell(s) in the manifest)",
-                            dir.display(),
-                            store.manifest_cells()
-                        );
-                    }
                     Some(store)
                 }
                 Err(e) => {
@@ -264,13 +243,12 @@ fn main() -> ExitCode {
     if let Some(store) = &store {
         let s = store.stats();
         eprintln!(
-            "cache: {} hits ({} memory, {} disk), {} misses, {} stores; manifest has {} cell(s)",
+            "cache: {} hits ({} memory, {} disk), {} misses, {} stores",
             s.hits(),
             s.hits_memory,
             s.hits_disk,
             s.misses,
-            s.stores,
-            store.manifest_cells()
+            s.stores
         );
         if s.version_mismatches > 0 {
             eprintln!(
@@ -313,26 +291,7 @@ fn main() -> ExitCode {
             },
             snapshot: desc_telemetry::global().snapshot(),
             pool: Some(desc_exec::utilization()),
-            cache: store.as_ref().map(|store| {
-                let s = store.stats();
-                desc_telemetry::CacheReport {
-                    dir: store.dir().map(|p| p.display().to_string()),
-                    schema_version: u64::from(store.version()),
-                    hits_memory: s.hits_memory,
-                    hits_disk: s.hits_disk,
-                    misses: s.misses,
-                    stores: s.stores,
-                    version_mismatches: s.version_mismatches,
-                    errors: s.errors,
-                    evictions: s.evictions,
-                    inflight_leads: s.inflight_leads,
-                    inflight_waits: s.inflight_waits,
-                    inflight_hits: s.inflight_hits,
-                    inflight_handoffs: s.inflight_handoffs,
-                    manifest_cells: store.manifest_cells(),
-                    resumed: resume,
-                }
-            }),
+            cache: store.as_ref().map(|store| store.report()),
             serve: None,
             spans,
         };

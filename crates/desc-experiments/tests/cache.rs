@@ -1,8 +1,9 @@
 //! End-to-end tests of the cell-result cache through the `repro`
 //! binary: warm reruns must be byte-identical to cold ones (CSV *and*
 //! report metrics) across process boundaries and `(jobs, shards)`
-//! shapes, interrupted runs must resume without recomputing
-//! manifested cells, and damaged or version-mismatched entries must
+//! shapes, a rerun over a killed run's cache directory must resume
+//! without recomputing banked cells, and damaged or version-mismatched
+//! entries must
 //! degrade to recomputes with a warning — never a wrong figure.
 //!
 //! Each test runs the binary in fresh processes, so the warm-hit
@@ -93,11 +94,6 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     assert_eq!(cache_u64(&warm_stats, "misses"), 0, "warm run recomputed: {warm_stats:?}");
     assert_eq!(cache_u64(&warm_stats, "stores"), 0, "warm run re-stored: {warm_stats:?}");
     assert!(cache_u64(&warm_stats, "hits_disk") > 0, "warm run never probed disk");
-    assert_eq!(
-        cache_u64(&cold_stats, "manifest_cells"),
-        cache_u64(&warm_stats, "manifest_cells"),
-        "warm run changed the manifest"
-    );
     // Replayed metric deltas make the warm report metric-identical.
     assert_eq!(
         deterministic_metrics(&cold_report),
@@ -122,8 +118,19 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Object files in the store of record (`objects/<2 hex>/<hex>.cell`);
+/// stray temp files from a killed write are not objects.
+fn banked_objects(cache: &Path) -> u64 {
+    let Ok(buckets) = std::fs::read_dir(cache.join("objects")) else { return 0 };
+    buckets
+        .flat_map(|bucket| std::fs::read_dir(bucket.expect("bucket").path()).expect("bucket dir"))
+        .map(|f| f.expect("object file").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".cell") && !name.starts_with('.'))
+        .count() as u64
+}
+
 #[test]
-fn killed_run_resumes_without_recomputing_manifested_cells() {
+fn rerun_over_a_killed_run_serves_banked_cells_and_stores_only_the_rest() {
     let dir = temp_dir("resume");
     let cache = dir.join("cells");
     let cache_arg = cache.to_str().expect("utf-8 path");
@@ -132,10 +139,10 @@ fn killed_run_resumes_without_recomputing_manifested_cells() {
     let reference = repro(&["--tiny", "--csv", "--quiet", "fig16", "fig22"]);
     assert!(reference.status.success());
 
-    // Start the same selection cold and kill it mid-run. Whatever was
-    // manifested before the kill is the "completed" set; atomic object
-    // and manifest writes guarantee the kill cannot poison it. The
-    // killed run reports too: a telemetry-enabled resume only accepts
+    // Start the same selection cold and kill it mid-run. Whatever
+    // objects were banked before the kill are the "completed" set;
+    // atomic object writes guarantee the kill cannot poison it. The
+    // killed run reports too: a telemetry-enabled rerun only accepts
     // delta-bearing entries, so the cold run must store them that way.
     let killed_report = dir.join("killed.json");
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -153,35 +160,31 @@ fn killed_run_resumes_without_recomputing_manifested_cells() {
 
     // A killed atomic write may leave a stray temp file; one more,
     // planted by hand, must be ignored as well.
-    std::fs::write(cache.join(".manifest.tmp.99999"), b"torn half-write").ok();
-    let manifested_before = std::fs::read_to_string(cache.join("manifest"))
-        .map(|text| text.lines().count() as u64)
-        .unwrap_or(0);
+    let bucket = cache.join("objects").join("00");
+    std::fs::create_dir_all(&bucket).expect("create bucket");
+    std::fs::write(bucket.join(".stray.cell.tmp.99999.0"), b"torn half-write").ok();
+    let banked_before = banked_objects(&cache);
 
-    let resume_report = dir.join("resume.json");
-    let resumed = repro(&[
-        "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--resume", "--report",
-        resume_report.to_str().expect("utf-8 path"), "fig16", "fig22",
+    let rerun_report = dir.join("rerun.json");
+    let rerun = repro(&[
+        "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--report",
+        rerun_report.to_str().expect("utf-8 path"), "fig16", "fig22",
     ]);
-    assert!(resumed.status.success(), "resume run failed: {resumed:?}");
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(stderr.contains("resuming from"), "no resume banner: {stderr:?}");
-    assert_eq!(reference.stdout, resumed.stdout, "resumed CSV diverged from uncached reference");
+    assert!(rerun.status.success(), "rerun failed: {rerun:?}");
+    assert_eq!(reference.stdout, rerun.stdout, "rerun CSV diverged from uncached reference");
 
-    let stats = cache_stanza(&resume_report);
-    assert!(stats.get("resumed").is_some_and(|r| matches!(r, Json::Bool(true))));
-    // Every cell banked before the kill was served, not recomputed:
-    // the resume run only stores the remainder. (`<=` rather than
-    // `==`: a kill between an object write and its manifest record
-    // leaves an extra on-disk cell that hits without re-storing.)
-    let total = cache_u64(&stats, "manifest_cells");
-    assert!(
-        cache_u64(&stats, "stores") <= total - manifested_before,
-        "resume recomputed manifested cells (manifested {manifested_before} of {total}): {stats:?}"
+    // Every cell banked before the kill was served from disk, not
+    // recomputed: the rerun stores exactly the remainder.
+    let stats = cache_stanza(&rerun_report);
+    let total = banked_objects(&cache);
+    assert_eq!(
+        cache_u64(&stats, "stores"),
+        total - banked_before,
+        "rerun recomputed banked cells (banked {banked_before} of {total}): {stats:?}"
     );
     assert!(
-        cache_u64(&stats, "hits_disk") >= manifested_before,
-        "manifested cells were not all served from disk: {stats:?}"
+        cache_u64(&stats, "hits_disk") >= banked_before,
+        "banked cells were not all served from disk: {stats:?}"
     );
 
     std::fs::remove_dir_all(&dir).ok();

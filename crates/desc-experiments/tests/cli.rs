@@ -35,8 +35,6 @@ fn bad_arguments_exit_2_with_a_stderr_line() {
         &["--trace"],
         &["--cache-dir"],           // missing value
         &["--cache-dir", "", "fig13"],
-        &["--resume", "--tiny", "fig13"], // --resume needs --cache-dir
-        &["--resume", "--no-cache", "--cache-dir", "/tmp", "fig13"],
         &["--frobnicate", "fig13"], // unknown flag
     ];
     for args in cases {
@@ -179,7 +177,7 @@ fn trace_and_report_artifacts_are_valid_and_csv_is_bit_exact_across_pool_shapes(
         .expect("report parses as JSON");
     assert_eq!(
         report.get("schema").and_then(Json::as_str),
-        Some("desc-run-report/v1"),
+        Some("desc-run-report/v2"),
         "report schema tag"
     );
     assert!(report.get("meta").and_then(|m| m.get("spans_dropped")).is_some());

@@ -1,5 +1,5 @@
 //! Bank-sharding acceptance tests: figure output must be
-//! byte-identical and `desc-run-report/v1` metrics identical for any
+//! byte-identical and `desc-run-report/v2` metrics identical for any
 //! `--shards` count at a fixed seed, because the decomposition unit is
 //! the L2 bank (fixed by the machine config), not the thread count.
 //! Covered figures span both machine organisations: fig16 (UCA,

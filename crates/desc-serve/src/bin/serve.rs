@@ -31,8 +31,7 @@ use std::process::ExitCode;
 const EXIT_USAGE: u8 = 2;
 /// The `--report` file could not be written at shutdown.
 const EXIT_WRITE_FAILED: u8 = 4;
-/// `--cache-dir` could not be opened (created, probed writable, or
-/// its manifest read).
+/// `--cache-dir` could not be opened (created or probed writable).
 const EXIT_CACHE: u8 = 5;
 /// The listen address could not be bound.
 const EXIT_BIND: u8 = 6;
@@ -107,7 +106,7 @@ fn main() -> ExitCode {
                      \x20                 recent service times\n\
                      --cache-dir DIR   share a persistent cell store across requests\n\
                      \x20                 and restarts (see docs/CACHE.md)\n\
-                     --report PATH     write a final desc-run-report/v1 (with the\n\
+                     --report PATH     write a final desc-run-report/v2 (with the\n\
                      \x20                 `serve` stanza) at clean shutdown\n\
                      exit codes: 0 clean shutdown, 2 usage error,\n\
                      4 report write failure, 5 unusable cache dir, 6 bind failure\n\
@@ -124,22 +123,7 @@ fn main() -> ExitCode {
     desc_telemetry::set_enabled(true);
     if let Some(dir) = &cache_dir {
         match desc_cache::CacheStore::open(dir, desc_experiments::cache::CELL_SCHEMA_VERSION) {
-            Ok(store) => {
-                let store = std::sync::Arc::new(store);
-                desc_experiments::cache::install(Some(std::sync::Arc::clone(&store)));
-                if store.manifest_skipped() > 0 {
-                    eprintln!(
-                        "serve: warning: dropped {} malformed manifest line(s) in {}",
-                        store.manifest_skipped(),
-                        dir.display()
-                    );
-                }
-                eprintln!(
-                    "serve: sharing cell store {} ({} completed cell(s) in the manifest)",
-                    dir.display(),
-                    store.manifest_cells()
-                );
-            }
+            Ok(store) => desc_experiments::cache::install(Some(std::sync::Arc::new(store))),
             Err(e) => {
                 eprintln!("serve: unusable cache dir {}: {e}", dir.display());
                 return ExitCode::from(EXIT_CACHE);
@@ -171,26 +155,6 @@ fn main() -> ExitCode {
     eprintln!("serve: drained; shutting down");
 
     if let Some(path) = &report_path {
-        let cache = desc_experiments::cache::active().map(|store| {
-            let s = store.stats();
-            desc_telemetry::CacheReport {
-                dir: store.dir().map(|p| p.display().to_string()),
-                schema_version: u64::from(store.version()),
-                hits_memory: s.hits_memory,
-                hits_disk: s.hits_disk,
-                misses: s.misses,
-                stores: s.stores,
-                version_mismatches: s.version_mismatches,
-                errors: s.errors,
-                evictions: s.evictions,
-                inflight_leads: s.inflight_leads,
-                inflight_waits: s.inflight_waits,
-                inflight_hits: s.inflight_hits,
-                inflight_handoffs: s.inflight_handoffs,
-                manifest_cells: store.manifest_cells(),
-                resumed: false,
-            }
-        });
         let report = desc_telemetry::Report {
             meta: desc_telemetry::ReportMeta {
                 tool: "serve".to_owned(),
@@ -204,7 +168,7 @@ fn main() -> ExitCode {
             },
             snapshot: desc_telemetry::global().snapshot(),
             pool: Some(desc_exec::utilization()),
-            cache,
+            cache: desc_experiments::cache::active().map(|store| store.report()),
             serve: final_serve,
             spans: Vec::new(),
         };

@@ -8,7 +8,7 @@
 //! its experiments as sweep cells on the *same* executor pool, reading
 //! and writing the *same* cell cache — so clients exploring
 //! overlapping parameter sweeps pay for each distinct cell once,
-//! process-wide, and the response embeds a `desc-run-report/v1`
+//! process-wide, and the response embeds a `desc-run-report/v2`
 //! document whose `metrics` match what `repro --report` produces for
 //! the same cells (modulo the `pool.*` / `cache.*` / `serve.*`
 //! operational families, which describe the process, not the
@@ -369,29 +369,6 @@ impl Shared {
             draining: self.gate.is_draining(),
         }
     }
-
-    /// The cumulative `cache` stanza for the installed store, if any.
-    fn cache_report(&self) -> Option<desc_telemetry::CacheReport> {
-        let store = desc_experiments::cache::active()?;
-        let s = store.stats();
-        Some(desc_telemetry::CacheReport {
-            dir: store.dir().map(|p| p.display().to_string()),
-            schema_version: u64::from(store.version()),
-            hits_memory: s.hits_memory,
-            hits_disk: s.hits_disk,
-            misses: s.misses,
-            stores: s.stores,
-            version_mismatches: s.version_mismatches,
-            errors: s.errors,
-            evictions: s.evictions,
-            inflight_leads: s.inflight_leads,
-            inflight_waits: s.inflight_waits,
-            inflight_hits: s.inflight_hits,
-            inflight_handoffs: s.inflight_handoffs,
-            manifest_cells: store.manifest_cells(),
-            resumed: false,
-        })
-    }
 }
 
 /// The cancellation payload [`desc_exec`] unwinds with is expected
@@ -573,7 +550,7 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Json, bool) {
     match request.op {
         Op::Ping => {
             let serve = shared.serve_report().to_json();
-            let cache = shared.cache_report().map(|c| c.to_json());
+            let cache = desc_experiments::cache::active().map(|store| store.report().to_json());
             (proto::ok_ping(&request.id, elapsed(started), serve, cache), false)
         }
         Op::Shutdown => (proto::ok_shutdown(&request.id, elapsed(started)), true),
@@ -753,7 +730,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
         },
         snapshot: sink.snapshot(),
         pool: None,
-        cache: shared.cache_report(),
+        cache: desc_experiments::cache::active().map(|store| store.report()),
         serve: Some(shared.serve_report()),
         spans: Vec::new(),
     };

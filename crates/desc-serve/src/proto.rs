@@ -243,7 +243,7 @@ fn response_base(id: &str, status: &str) -> Json {
         .with("status", Json::Str(status.to_owned()))
 }
 
-/// A successful `run` response embedding a full `desc-run-report/v1`
+/// A successful `run` response embedding a full `desc-run-report/v2`
 /// document and, when requested, rendered tables keyed by experiment.
 /// `dedup_cells` counts this request's cells that were computed by a
 /// concurrent request and shared via single-flight (warm cache hits do

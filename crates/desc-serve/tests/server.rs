@@ -156,7 +156,7 @@ fn concurrent_clients_match_repro_metrics_and_share_the_cache() {
         let report = reply.get("report").expect("ok run embeds a report");
         assert_eq!(
             report.get("schema").and_then(Json::as_str),
-            Some("desc-run-report/v1")
+            Some("desc-run-report/v2")
         );
         let metrics = report.get("metrics").expect("report has metrics").to_pretty();
         assert_eq!(
@@ -198,10 +198,18 @@ fn concurrent_clients_match_repro_metrics_and_share_the_cache() {
     let reopened =
         desc_cache::CacheStore::open(&dir, desc_experiments::cache::CELL_SCHEMA_VERSION)
             .expect("reopen store after drain");
-    assert!(
-        reopened.manifest_cells() > 0,
-        "completed cells must survive shutdown in the manifest"
-    );
+    let objects: Vec<desc_cache::CellKey> = std::fs::read_dir(dir.join("objects"))
+        .expect("objects dir")
+        .flat_map(|bucket| std::fs::read_dir(bucket.expect("bucket").path()).expect("bucket"))
+        .filter_map(|f| {
+            let name = f.expect("object file").file_name().to_string_lossy().into_owned();
+            desc_cache::CellKey::from_hex(name.strip_suffix(".cell")?)
+        })
+        .collect();
+    assert!(!objects.is_empty(), "completed cells must survive shutdown on disk");
+    for key in &objects {
+        assert!(reopened.lookup(key, false).is_some(), "banked cell {} must hit", key.hex());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -77,7 +77,7 @@ fn service_document_matches_the_wire_encoders() {
 
     // Representative responses covering every `ok` shape and the
     // error shape with its conditional retry hint.
-    let report = Json::obj().with("schema", Json::Str("desc-run-report/v1".to_owned()));
+    let report = Json::obj().with("schema", Json::Str("desc-run-report/v2".to_owned()));
     let tables = Json::obj().with("fig16", Json::Str("rendered".to_owned()));
     flatten("response", &proto::ok_run("id", 1, 1, report, Some(tables)), &mut emitted);
     let serve = Json::obj();

@@ -35,10 +35,8 @@
 pub mod bank;
 mod batch;
 pub mod cache;
-pub mod coherence;
 pub mod config;
 pub mod dram;
-pub mod hierarchy;
 mod shard;
 pub mod snuca;
 pub mod system;

@@ -13,7 +13,7 @@
 //! 3. **Machine-readable run reports**: an in-tree JSON value type with
 //!    writer *and* parser ([`json`]) plus a [`report`] builder that
 //!    serializes a registry snapshot with build/seed/config metadata.
-//!    The emitted `desc-run-report/v1` format is specified in
+//!    The emitted `desc-run-report/v2` format is specified in
 //!    `docs/REPORT_SCHEMA.md` at the repository root (key-by-key
 //!    tables, a worked example, and the stability/versioning rules);
 //!    `tests/schema_doc.rs` pins the document to the code.

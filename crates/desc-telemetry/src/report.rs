@@ -1,9 +1,9 @@
 //! Machine-readable run reports: registry snapshot + run metadata
 //! serialized through the in-tree [`Json`] writer.
 //!
-//! Schema (`desc-run-report/v1`), top-level keys:
+//! Schema (`desc-run-report/v2`), top-level keys:
 //!
-//! - `schema` — the literal `"desc-run-report/v1"`.
+//! - `schema` — the literal `"desc-run-report/v2"`.
 //! - `meta` — tool name/version, seed, scale, jobs, shards, experiment list,
 //!   dropped-span count, and a wall-clock timestamp (the
 //!   non-deterministic fields).
@@ -14,8 +14,8 @@
 //! - `pool_utilization` — optional executor accounting: per-worker
 //!   busy time and per-region queue-wait/run aggregates (present when
 //!   the producer supplies a [`PoolUtilization`]).
-//! - `cache` — optional cell-cache accounting: hit/miss/store counts
-//!   and manifest size (present when the producer supplies a
+//! - `cache` — optional cell-cache accounting: hit/miss/store and
+//!   single-flight counts (present when the producer supplies a
 //!   [`CacheReport`]).
 //! - `serve` — optional sweep-service accounting: accepted/rejected/
 //!   timed-out/active request counts (present when the producer is a
@@ -66,7 +66,9 @@ pub struct WorkerUtilization {
     pub worker: u32,
     /// Thread name (`main`, `desc-exec-0`, ...).
     pub name: String,
-    /// Microseconds this thread spent executing pool tasks.
+    /// Microseconds this thread spent executing pool tasks, counting
+    /// only outermost tasks (a nested task is inside its enclosing
+    /// task's time), so it never exceeds the elapsed time.
     pub busy_us: u64,
     /// Tasks this thread executed.
     pub tasks: u64,
@@ -171,8 +173,8 @@ fn sparse_to_json(buckets: &[(usize, u64)]) -> Json {
 }
 
 /// Cell-cache accounting for the `cache` stanza: where this run's
-/// cells came from. Produced by `repro` from the `desc-cache` store's
-/// counters (desc-telemetry deliberately does not depend on
+/// cells came from. Produced by `desc_cache::CacheStore::report` from
+/// the store's counters (desc-telemetry deliberately does not depend on
 /// desc-cache, mirroring how [`PoolUtilization`] is filled by
 /// `desc-exec`). All values are deterministic for a given store state,
 /// but naturally differ between cold and warm runs — determinism
@@ -214,10 +216,6 @@ pub struct CacheReport {
     /// Waits that ended with the leader abandoning the cell (panic or
     /// cancellation); a waiting follower took over leadership.
     pub inflight_handoffs: u64,
-    /// Keys recorded in the on-disk manifest after the run.
-    pub manifest_cells: u64,
-    /// True when the run was started with `--resume`.
-    pub resumed: bool,
 }
 
 impl CacheReport {
@@ -240,8 +238,6 @@ impl CacheReport {
             .with("inflight_waits", Json::UInt(self.inflight_waits))
             .with("inflight_hits", Json::UInt(self.inflight_hits))
             .with("inflight_handoffs", Json::UInt(self.inflight_handoffs))
-            .with("manifest_cells", Json::UInt(self.manifest_cells))
-            .with("resumed", Json::Bool(self.resumed))
     }
 }
 
@@ -331,7 +327,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Serializes the report to the v1 JSON schema.
+    /// Serializes the report to the v2 JSON schema.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let timestamp = SystemTime::now()
@@ -375,7 +371,7 @@ impl Report {
         );
 
         let mut doc = Json::obj()
-            .with("schema", Json::Str("desc-run-report/v1".to_owned()))
+            .with("schema", Json::Str("desc-run-report/v2".to_owned()))
             .with("meta", meta)
             .with("metrics", metrics);
         if let Some(pool) = &self.pool {
@@ -487,8 +483,6 @@ mod tests {
                 inflight_waits: 2,
                 inflight_hits: 2,
                 inflight_handoffs: 0,
-                manifest_cells: 7,
-                resumed: true,
             }),
             serve: Some(ServeReport {
                 addr: "127.0.0.1:7013".to_owned(),
@@ -519,7 +513,7 @@ mod tests {
         for key in ["schema", "meta", "metrics", "pool_utilization", "cache", "serve", "spans"] {
             assert!(json.get(key).is_some(), "missing top-level key {key}");
         }
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some("desc-run-report/v1"));
+        assert_eq!(json.get("schema").and_then(Json::as_str), Some("desc-run-report/v2"));
         let text = json.to_pretty();
         let back = Json::parse(&text).expect("report parses back");
         let metric = back.get("metrics").and_then(|m| m.get("a.count")).expect("metric present");
@@ -536,8 +530,7 @@ mod tests {
         assert_eq!(back.get("meta").and_then(|m| m.get("spans_dropped")).and_then(Json::as_u64), Some(0));
         let cache = back.get("cache").expect("cache stanza present");
         assert_eq!(cache.get("hits_disk").and_then(Json::as_u64), Some(3));
-        assert_eq!(cache.get("manifest_cells").and_then(Json::as_u64), Some(7));
-        assert_eq!(cache.get("resumed"), Some(&Json::Bool(true)));
+        assert_eq!(cache.get("evictions").and_then(Json::as_u64), Some(1));
         let serve = back.get("serve").expect("serve stanza present");
         assert_eq!(serve.get("accepted").and_then(Json::as_u64), Some(4));
         assert_eq!(serve.get("rejected_busy").and_then(Json::as_u64), Some(1));

@@ -63,7 +63,7 @@ fn ring_capacity() -> usize {
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 /// Spans dropped to ring overflow since process start. Reported as
-/// `meta.spans_dropped` in `desc-run-report/v1` so truncated timelines
+/// `meta.spans_dropped` in `desc-run-report/v2` so truncated timelines
 /// are visible; raise `DESC_TRACE_RING` to avoid drops.
 #[must_use]
 pub fn spans_dropped() -> u64 {

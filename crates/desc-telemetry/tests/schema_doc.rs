@@ -1,6 +1,6 @@
 //! Pins `docs/REPORT_SCHEMA.md` to the code: the document's "Key
 //! index" block must list exactly the key paths a representative
-//! `desc-run-report/v1` report emits. If either side changes alone,
+//! `desc-run-report/v2` report emits. If either side changes alone,
 //! this test fails — the schema document cannot drift silently.
 
 use desc_telemetry::{
@@ -160,8 +160,6 @@ fn schema_document_matches_emitted_report() {
             inflight_waits: 1,
             inflight_hits: 1,
             inflight_handoffs: 0,
-            manifest_cells: 4,
-            resumed: false,
         }),
         serve: Some(ServeReport {
             addr: "127.0.0.1:7013".to_owned(),
@@ -196,7 +194,7 @@ fn schema_document_matches_emitted_report() {
          (left: documented, right: emitted)"
     );
     assert!(
-        doc.contains("desc-run-report/v1"),
+        doc.contains("desc-run-report/v2"),
         "schema document must name the schema version"
     );
 }
