@@ -138,11 +138,12 @@ fn main() -> ExitCode {
                      --trace PATH  enable telemetry and write a Chrome trace-event JSON\n\
                      timeline (one lane per pool thread) for Perfetto;\n\
                      see docs/TELEMETRY.md\n\
-                     --cache-dir DIR  memoize completed sweep cells under DIR and serve\n\
-                     repeat cells from it; warm results are byte-identical\n\
-                     to cold ones; rerunning with the same DIR resumes an\n\
-                     interrupted run (see docs/CACHE.md)\n\
-                     --no-cache    ignore --cache-dir for this run (no reads or writes)\n\
+                     --cache-dir DIR  also keep completed sweep cells on disk under DIR;\n\
+                     repeat cells are always served from memory within a\n\
+                     run, and rerunning with the same DIR resumes an\n\
+                     interrupted run; warm results are byte-identical to\n\
+                     cold ones (see docs/CACHE.md)\n\
+                     --no-cache    ignore --cache-dir for this run (no disk reads or writes)\n\
                      --quiet       suppress the live progress line on stderr\n\
                      --progress    force the live progress line even when stderr is\n\
                      not a terminal\n\
@@ -186,23 +187,23 @@ fn main() -> ExitCode {
         desc_telemetry::set_enabled(true);
     }
     // Open the cell cache after the telemetry switch settles so the
-    // store's `cache.*` counters reach the report.
+    // store's `cache.*` counters reach the report. Without a usable
+    // `--cache-dir` the store is in-memory: repeated cells within this
+    // run (fig20 after fig16, fig29 after fig28, ...) are still served
+    // once computed, byte-identical to recomputing them.
+    let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
     let store = match (&cache_dir, no_cache) {
-        (Some(dir), false) => {
-            match desc_cache::CacheStore::open(dir, desc_experiments::cache::CELL_SCHEMA_VERSION) {
-                Ok(store) => {
-                    let store = std::sync::Arc::new(store);
-                    desc_experiments::cache::install(Some(std::sync::Arc::clone(&store)));
-                    Some(store)
-                }
-                Err(e) => {
-                    eprintln!("repro: unusable cache dir {}: {e}", dir.display());
-                    return ExitCode::from(EXIT_CACHE);
-                }
+        (Some(dir), false) => match desc_cache::CacheStore::open(dir, version) {
+            Ok(store) => store,
+            Err(e) => {
+                eprintln!("repro: unusable cache dir {}: {e}", dir.display());
+                return ExitCode::from(EXIT_CACHE);
             }
-        }
-        _ => None,
+        },
+        _ => desc_cache::CacheStore::in_memory(version),
     };
+    let store = std::sync::Arc::new(store);
+    desc_experiments::cache::install(Some(std::sync::Arc::clone(&store)));
     // Size the shared pool once telemetry state is settled. `--jobs`
     // sets the pool size; `--shards` only caps how many of a cell's
     // bank partitions run concurrently *within* that pool — the two
@@ -240,7 +241,7 @@ fn main() -> ExitCode {
         reporter.finish();
     }
 
-    if let Some(store) = &store {
+    if store.dir().is_some() {
         let s = store.stats();
         eprintln!(
             "cache: {} hits ({} memory, {} disk), {} misses, {} stores",
@@ -291,7 +292,7 @@ fn main() -> ExitCode {
             },
             snapshot: desc_telemetry::global().snapshot(),
             pool: Some(desc_exec::utilization()),
-            cache: store.as_ref().map(|store| store.report()),
+            cache: Some(store.report()),
             serve: None,
             spans,
         };

@@ -1,6 +1,7 @@
 //! Cell-level memoization: content addresses for sweep cells, the
-//! compact binary cell-result codecs, and the process-wide store
-//! handle installed by `repro --cache-dir`.
+//! compact binary cell-result codecs, the process-wide store handle
+//! that `repro` installs, and the memo of scheme-independent access
+//! streams.
 //!
 //! A *cell* is one `(scheme, machine config, app profile, seed,
 //! accesses)` simulation — the unit [`crate::common::run_matrix`]
@@ -25,6 +26,17 @@
 //! Any change to a result struct or to key derivation must bump
 //! [`CELL_SCHEMA_VERSION`] — old entries then read as version
 //! mismatches and recompute, never as wrong figures.
+//!
+//! # Shared halves
+//!
+//! Below the cell store sits a second, finer memo. A cell's
+//! scheme-independent half — trace, directory warmup and the measured
+//! window's outcomes, a [`desc_sim::AccessStream`] — is the same for
+//! every scheme, bus width and core model that share its
+//! [`StreamSpec`]. [`shared_stream`] keys it with [`stream_key`] and
+//! keeps the few most recent streams in a process-local, single-flight
+//! [`Memo`] of [`STREAM_MEMO_ENTRIES`] entries, so a scheme-comparison
+//! sweep builds each app's half once instead of once per scheme.
 
 use crate::common::{AppRun, Scale};
 use desc_cache::{CacheStore, CellKey, CodecError, Decoder, Encoder, KeyHasher};
@@ -33,9 +45,10 @@ use desc_cacti::EnergyBreakdown;
 use desc_core::{CostSummary, TransferCost, TransferScheme};
 use desc_mcpat::ProcessorEnergy;
 use desc_sim::snuca::SnucaResult;
-use desc_sim::{SimConfig, SimResult};
+use desc_sim::{AccessStream, SimConfig, SimResult, StreamSpec};
 use desc_workloads::BenchmarkProfile;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Version of the cell payload schema (codec field order **and** key
 /// derivation). Bump on any change to either; stale entries are then
@@ -45,8 +58,9 @@ pub const CELL_SCHEMA_VERSION: u32 = 1;
 static STORE: Mutex<Option<Arc<CacheStore>>> = Mutex::new(None);
 
 /// Installs (or with `None`, removes) the process-wide cell store that
-/// [`crate::common::run_custom_keyed`] consults. `repro` installs one
-/// when `--cache-dir` is given without `--no-cache`.
+/// [`crate::common::run_custom_keyed`] consults. `repro` always
+/// installs one: disk-backed when `--cache-dir` is given without
+/// `--no-cache`, in-memory otherwise.
 pub fn install(store: Option<Arc<CacheStore>>) {
     *STORE.lock().expect("cache store handle poisoned") = store;
 }
@@ -115,6 +129,142 @@ pub fn snuca_key(
     let mut h = KeyHasher::new("snuca");
     write_common(&mut h, scheme_id, scheme, config, profile, seed, accesses);
     h.finish()
+}
+
+/// Content address of a cell's scheme-independent half: exactly the
+/// [`StreamSpec`] fields — profile, seed, accesses, L2 capacity, block
+/// size, associativity and bank count — and nothing a scheme, bus
+/// width, core model, DRAM or interface latency can change.
+#[must_use]
+pub fn stream_key(spec: &StreamSpec) -> CellKey {
+    let mut h = KeyHasher::new("stream");
+    h.write_u32(CELL_SCHEMA_VERSION);
+    h.write_str(&format!("{:?}", spec.profile));
+    h.write_u64(spec.seed);
+    h.write_u64(spec.accesses as u64);
+    h.write_u64(spec.capacity_bytes as u64);
+    h.write_u64(spec.block_bytes as u64);
+    h.write_u64(spec.associativity as u64);
+    h.write_u64(spec.banks as u64);
+    h.finish()
+}
+
+/// Streams the process keeps. Sweeps walk one app's schemes in a row,
+/// so a few entries catch nearly every repeat; a full-scale stream is
+/// about 320 KB, which bounds the memo near 1.3 MB.
+pub const STREAM_MEMO_ENTRIES: usize = 4;
+
+/// How long a waiter sleeps between cancellation checks.
+const MEMO_WAIT_TICK: Duration = Duration::from_millis(10);
+
+static STREAMS: Memo<AccessStream> = Memo::new(STREAM_MEMO_ENTRIES);
+
+/// The [`AccessStream`] for `spec`, from the process-wide memo or built
+/// on up to `threads` pool workers.
+///
+/// A stream's trace generation counts `workloads.accesses_generated`
+/// when it is built. A caller served from the memo adds the same count
+/// itself, so every cell's captured metric delta — and with it every
+/// report metric — is the same as a cold run's.
+#[must_use]
+pub fn shared_stream(spec: StreamSpec, threads: usize) -> Arc<AccessStream> {
+    let (stream, built) =
+        STREAMS.get_or_build(&stream_key(&spec), || AccessStream::build(spec, threads));
+    if !built && desc_telemetry::enabled() {
+        desc_telemetry::counter!("workloads.accesses_generated").add(stream.generated());
+    }
+    stream
+}
+
+/// A process-local, single-flight, LRU-bounded memo.
+///
+/// Concurrent demands of one missing key build it once: the first
+/// caller leads and the rest wait. A waiter polls
+/// [`desc_exec::check_cancelled`] between bounded wait ticks, so a
+/// cancelled request abandons its wait promptly. A leader that unwinds
+/// without publishing releases the key, and a waiter takes over the
+/// build — a panicking build can never wedge a key.
+#[derive(Debug)]
+pub struct Memo<V> {
+    capacity: usize,
+    state: Mutex<MemoState<V>>,
+    cv: Condvar,
+}
+
+#[derive(Debug)]
+struct MemoState<V> {
+    /// Least recently used first.
+    entries: Vec<(CellKey, Arc<V>)>,
+    /// Keys whose leader is building them now.
+    building: Vec<CellKey>,
+}
+
+/// Leadership of one key's build; dropping it releases the key and
+/// wakes the waiters, published or not.
+struct BuildLease<'a, V> {
+    memo: &'a Memo<V>,
+    key: CellKey,
+}
+
+impl<V> Drop for BuildLease<'_, V> {
+    fn drop(&mut self) {
+        self.memo.lock().building.retain(|k| *k != self.key);
+        self.memo.cv.notify_all();
+    }
+}
+
+impl<V> Memo<V> {
+    /// An empty memo that keeps at most `capacity` values.
+    #[must_use]
+    pub const fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            state: Mutex::new(MemoState { entries: Vec::new(), building: Vec::new() }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemoState<V>> {
+        // No user code runs under the lock, so poisoning carries no
+        // broken invariant.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value under `key`, marked most recently used, or — when no
+    /// other caller is building it — `build()`'s value, which is then
+    /// kept (evicting the least recently used entry beyond capacity).
+    /// The flag is true when this call ran `build`.
+    pub fn get_or_build(&self, key: &CellKey, build: impl FnOnce() -> V) -> (Arc<V>, bool) {
+        let mut state = self.lock();
+        loop {
+            if let Some(pos) = state.entries.iter().position(|(k, _)| k == key) {
+                let entry = state.entries.remove(pos);
+                let value = Arc::clone(&entry.1);
+                state.entries.push(entry);
+                return (value, false);
+            }
+            if !state.building.contains(key) {
+                break;
+            }
+            let (guard, _) =
+                self.cv.wait_timeout(state, MEMO_WAIT_TICK).unwrap_or_else(PoisonError::into_inner);
+            drop(guard);
+            desc_exec::check_cancelled();
+            state = self.lock();
+        }
+        state.building.push(*key);
+        drop(state);
+        let lease = BuildLease { memo: self, key: *key };
+        let value = Arc::new(build());
+        let mut state = self.lock();
+        state.entries.push((*key, Arc::clone(&value)));
+        if state.entries.len() > self.capacity {
+            state.entries.remove(0);
+        }
+        drop(state);
+        drop(lease);
+        (value, true)
+    }
 }
 
 fn put_transfer(e: &mut Encoder, t: &CostSummary) {

@@ -124,7 +124,8 @@ impl AppRun {
 
 /// Simulates `profile` under `scheme` on `config`, prices the
 /// activity, and rolls up processor energy. `static_overhead`
-/// multiplies L2 leakage (see [`scheme_static_overhead`]).
+/// multiplies L2 leakage (see [`scheme_static_overhead`]). The
+/// scheme-independent half comes from [`crate::cache::shared_stream`].
 #[must_use]
 pub fn run_custom(
     scheme: Box<dyn TransferScheme>,
@@ -136,7 +137,15 @@ pub fn run_custom(
     config.l2.bus_width_bits = scheme.wires().total();
     config.shards = scale.shards.max(1);
     let sim = SystemSim::new(config, *profile, scale.seed);
-    let result = sim.run(scheme, scale.accesses);
+    let stream = crate::cache::shared_stream(sim.stream_spec(scale.accesses), config.shards);
+    price_run(sim.run_on(scheme, &stream), &config, static_overhead)
+}
+
+/// Prices a simulation `result` on `config`: the L2 energy of its
+/// activity, with leakage multiplied by `static_overhead`, and the
+/// processor roll-up for `config`'s core model.
+#[must_use]
+pub fn price_run(result: SimResult, config: &SimConfig, static_overhead: f64) -> AppRun {
     let model = CacheModel::new(config.l2);
     let mut l2 = model.energy_for(&result.activity);
     l2.static_j *= static_overhead;
@@ -326,7 +335,8 @@ pub fn run_app(kind: SchemeKind, profile: &BenchmarkProfile, scale: &Scale) -> A
 
 /// One S-NUCA-1 run behind the cell cache: constructs the
 /// [`desc_sim::SnucaSim`] per call so fig. 23 and fig. 24 — which run
-/// the same `(scheme, app)` cells — share cache entries. Same
+/// the same `(scheme, app)` cells — share cache entries, and takes the
+/// scheme-independent half from [`crate::cache::shared_stream`]. Same
 /// contract as [`run_custom_keyed`].
 #[must_use]
 pub fn run_snuca(
@@ -338,7 +348,8 @@ pub fn run_snuca(
 ) -> desc_sim::snuca::SnucaResult {
     let compute = |scheme: Box<dyn TransferScheme>| {
         let sim = desc_sim::SnucaSim::new(config, *profile, scale.seed);
-        sim.run(scheme, scale.accesses)
+        let spec = sim.stream_spec(scale.accesses);
+        sim.run_on(scheme, &crate::cache::shared_stream(spec, config.shards))
     };
     let Some(store) = crate::cache::active() else {
         return compute(scheme);

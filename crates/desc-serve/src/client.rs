@@ -135,9 +135,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a server.
+    /// Connects to a server. Nagle's algorithm is disabled: requests
+    /// are whole frames, so coalescing only delays them.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Ok(Client { stream: TcpStream::connect(addr)? })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     /// Sends one request document and reads the one reply. An `Err`
@@ -164,5 +167,17 @@ impl Client {
         })?;
         Json::parse(text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_connections_have_nagle_disabled() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
     }
 }

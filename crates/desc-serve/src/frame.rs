@@ -82,6 +82,11 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 
 /// Writes one length-prefixed frame and flushes. Refuses payloads over
 /// [`MAX_FRAME`] so a writer can never emit what a reader must reject.
+///
+/// Prefix and payload leave in a single `write_all`: two small writes
+/// on a TCP socket let Nagle's algorithm hold the second behind the
+/// peer's delayed ACK of the first, which adds tens of milliseconds to
+/// every round trip.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(std::io::Error::new(
@@ -92,8 +97,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<(
     let prefix = u32::try_from(payload.len())
         .expect("MAX_FRAME fits in u32")
         .to_be_bytes();
-    writer.write_all(&prefix)?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(prefix.len() + payload.len());
+    frame.extend_from_slice(&prefix);
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -136,6 +143,35 @@ mod tests {
         bytes.extend_from_slice(b"abc");
         let mut cursor = std::io::Cursor::new(bytes);
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+    }
+
+    /// Counts `write` calls, accepting every byte of each.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_exactly_one_write() {
+        for payload in [&b""[..], b"{\"op\":\"ping\"}", &[7u8; 70_000][..]] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.writes, 1, "a {}-byte payload took several writes", payload.len());
+            assert_eq!(read_frame(&mut std::io::Cursor::new(sink.bytes)).unwrap(), payload);
+        }
     }
 
     #[test]

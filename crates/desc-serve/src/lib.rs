@@ -434,7 +434,7 @@ impl Server {
         loop {
             // `accept` is woken during drain by a loopback connection
             // from the draining thread (see `initiate_drain`).
-            let (stream, _) = self.listener.accept()?;
+            let stream = accept(&self.listener)?;
             if self.shared.gate.is_draining() {
                 break;
             }
@@ -468,6 +468,16 @@ impl Server {
         }
         Ok(self.shared.serve_report())
     }
+}
+
+/// Accepts one connection with Nagle's algorithm disabled: every reply
+/// is one whole frame, so holding it back for the peer's delayed ACK
+/// only adds latency. Failing to set the option costs only that
+/// latency, so it never fails the accept.
+fn accept(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// Flips the drain switch and wakes the accept loop with a loopback
@@ -847,6 +857,14 @@ mod tests {
         assert_eq!(shared.retry_hint(), 25);
         shared.service_ewma_ms.store(1_000_000, Ordering::Relaxed);
         assert_eq!(shared.retry_hint(), 60_000);
+    }
+
+    #[test]
+    fn accepted_streams_have_nagle_disabled() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let stream = accept(&listener).unwrap();
+        assert!(stream.nodelay().unwrap());
     }
 
     #[test]

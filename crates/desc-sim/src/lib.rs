@@ -39,9 +39,11 @@ pub mod config;
 pub mod dram;
 mod shard;
 pub mod snuca;
+pub mod stream;
 pub mod system;
 
 pub use cache::SetAssocCache;
 pub use config::{CoreModel, SimConfig};
 pub use snuca::SnucaSim;
+pub use stream::{AccessStream, StreamSpec};
 pub use system::{SimResult, SystemSim};

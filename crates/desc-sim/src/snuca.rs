@@ -14,12 +14,14 @@
 //! [`TransferScheme`] replica) and a private value stream: there is no
 //! shared wire state to replicate, so the per-bank decomposition is
 //! exact by construction. One simulation cell always decomposes into
-//! one partition per bank — each owning the bank's directory slice
-//! ([`crate::cache::SetAssocCache::bank_slice`]), channel replica
+//! one partition per bank. The bank's directory slice
+//! ([`crate::cache::SetAssocCache::bank_slice`]) runs once, in the
+//! cell's scheme-independent [`AccessStream`]; the scheme step gives
+//! each partition the bank's channel replica
 //! ([`TransferScheme::clone_box`]), value stream
-//! (`mix_seed(seed, bank)`), and port schedule — and the partitions run
-//! serially or on up to [`crate::config::SimConfig::shards`] worker
-//! threads. The only cross-bank coupling, DRAM channel contention, is
+//! (`mix_seed(seed, bank)`), and port schedule. Both steps run their
+//! partitions serially or on up to
+//! [`crate::config::SimConfig::shards`] worker threads. The only cross-bank coupling, DRAM channel contention, is
 //! reconciled at a deterministic epoch barrier: partitions emit miss
 //! requests with issue timestamps, and the requests are replayed
 //! through one shared [`Dram`] ordered by
@@ -28,13 +30,13 @@
 
 use crate::bank::{home_bank, BankScheduler};
 use crate::batch::{ChannelBatch, FLUSH_CAP};
-use crate::cache::{CacheOutcome, SetAssocCache};
 use crate::config::SimConfig;
 use crate::dram::Dram;
 use crate::shard::run_parts;
+use crate::stream::{AccessStream, Outcome, StreamSpec};
 use desc_cacti::snuca::SnucaModel;
 use desc_core::TransferScheme;
-use desc_workloads::{Access, BenchmarkProfile};
+use desc_workloads::BenchmarkProfile;
 use std::sync::Mutex;
 
 /// Result of an S-NUCA-1 run.
@@ -89,19 +91,6 @@ struct PartitionOut {
     hit_latency_hist: desc_telemetry::LocalHistogram,
 }
 
-/// An access whose bookkeeping is deferred until its channel's batch
-/// drains: the S-NUCA energy sums are `f64` accumulations whose order
-/// must match the per-access scalar loop bit for bit, so *everything*
-/// except the directory lookup and the value-stream draws replays at
-/// drain time, in program order.
-struct PendingAccess {
-    idx: u32,
-    addr: u64,
-    bank: usize,
-    miss: bool,
-    writeback: bool,
-}
-
 /// A cross-bank DRAM request exchanged at the epoch barrier.
 struct MissEvent {
     /// Global program-order index — the within-epoch order.
@@ -132,8 +121,26 @@ impl SnucaSim {
         Self { config, profile, seed }
     }
 
+    /// The inputs of this simulation's scheme-independent half for an
+    /// `accesses`-long window (see [`AccessStream`]): the L2 geometry
+    /// with the S-NUCA-1 bank count.
+    #[must_use]
+    pub fn stream_spec(&self, accesses: usize) -> StreamSpec {
+        let l2 = &self.config.l2;
+        StreamSpec {
+            profile: self.profile,
+            seed: self.seed,
+            accesses,
+            capacity_bytes: l2.capacity_bytes,
+            block_bytes: l2.block_bytes,
+            associativity: l2.associativity,
+            banks: SnucaModel::paper_default().banks(),
+        }
+    }
+
     /// Runs `accesses` accesses through `scheme` and returns the
-    /// measured result.
+    /// measured result: builds the cell's [`AccessStream`], then
+    /// [`run_on`](Self::run_on) it.
     ///
     /// `scheme` supplies the configuration — each of the 128 bank
     /// channels gets its own power-on replica via
@@ -162,7 +169,25 @@ impl SnucaSim {
     ///
     /// Panics if `accesses` is zero.
     pub fn run(&self, scheme: Box<dyn TransferScheme>, accesses: usize) -> SnucaResult {
-        assert!(accesses > 0, "simulate at least one access");
+        let stream = AccessStream::build(self.stream_spec(accesses), self.config.shards);
+        self.run_on(scheme, &stream)
+    }
+
+    /// The scheme half of [`run`](Self::run): replays `stream` through
+    /// per-bank replicas of `scheme`, then reconciles DRAM contention.
+    /// Bit-identical to `run` for any stream built from
+    /// [`stream_spec`](Self::stream_spec).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` was built from a different spec than this
+    /// simulation's.
+    pub fn run_on(&self, scheme: Box<dyn TransferScheme>, stream: &AccessStream) -> SnucaResult {
+        let accesses = stream.spec().accesses;
+        assert!(
+            *stream.spec() == self.stream_spec(accesses),
+            "stream was built for a different app, seed or L2 geometry"
+        );
         let cfg = &self.config;
         let model = SnucaModel::paper_default();
         let banks_n = model.banks();
@@ -170,40 +195,8 @@ impl SnucaSim {
         let iface = if is_desc { cfg.desc_interface_cycles } else { 0 };
         let block_bytes = cfg.l2.block_bytes as u64;
         let cache_model = desc_cacti::CacheModel::new(cfg.l2);
-
-        // One partition per bank whenever the geometry decomposes
-        // (power-of-two bank count no larger than the set count — the
-        // paper's 128-bank / 8192-set configuration always does);
-        // otherwise a single partition simulates all banks. Either
-        // way the partition count is fixed by the configuration, never
-        // by `shards`, so results are shard-count invariant.
-        let capacity_blocks = cfg.l2.capacity_bytes / cfg.l2.block_bytes;
-        let set_count = capacity_blocks / cfg.l2.associativity;
-        let parts = if banks_n.is_power_of_two() && banks_n <= set_count { banks_n } else { 1 };
+        let parts = stream.parts.len();
         let threads = cfg.shards.max(1);
-
-        // The trace is generated once (one sequential RNG stream) and
-        // bucketed by owning partition *during* generation: with 128
-        // bank partitions, the old shared-trace-plus-`owns()`-filter
-        // approach re-scanned the full trace 128 times per cell, which
-        // dominated S-NUCA wall-clock. Warmup (directory only — no
-        // transfers, no energy) brings the directory to steady state.
-        let warmup = (2 * capacity_blocks).max(accesses);
-        assert!(accesses < u32::MAX as usize, "measured window exceeds u32 program indices");
-        let mut trace_gen = self.profile.trace(self.seed);
-        let mut warm_parts: Vec<Vec<Access>> =
-            (0..parts).map(|_| Vec::with_capacity(warmup / parts + warmup / 16 + 8)).collect();
-        let mut meas_parts: Vec<Vec<(u32, Access)>> =
-            (0..parts).map(|_| Vec::with_capacity(accesses / parts + accesses / 16 + 8)).collect();
-        for i in 0..warmup + accesses {
-            let a = trace_gen.next_access();
-            let p = home_bank(a.addr, block_bytes, banks_n) % parts;
-            if i < warmup {
-                warm_parts[p].push(a);
-            } else {
-                meas_parts[p].push(((i - warmup) as u32, a));
-            }
-        }
 
         // One channel replica per bank, cloned up front on this thread
         // (`clone_box` borrows the template); each partition takes its
@@ -222,38 +215,28 @@ impl SnucaSim {
         let cores = self.profile.cores as f64;
         let base_cpa = 1000.0 / (apki * cores * self.profile.base_ipc);
 
-        // ---- Per-bank phase: directory, transfers, bank timing. -----
+        // ---- Per-bank phase: transfers and bank timing. -------------
         // Partition `p` owns banks `b` with `b % parts == p` (exactly
-        // bank `p` in the decomposed case): its directory slice, the
-        // banks' channel replicas and value streams, and the banks'
-        // port schedules. Partitions share no mutable state; the merge
-        // below is a deterministic reduction in fixed bank order.
+        // bank `p` in the decomposed case): the banks' channel replicas
+        // and value streams, and the banks' port schedules. Partitions
+        // share no mutable state; the merge below is a deterministic
+        // reduction in fixed bank order.
         let outs: Vec<PartitionOut> = run_parts(parts, threads, |p| {
-            let mut l2 = SetAssocCache::bank_slice(
-                cfg.l2.capacity_bytes,
-                cfg.l2.block_bytes,
-                cfg.l2.associativity,
-                parts,
-                p,
-            );
+            let outcomes = &stream.parts[p].outcomes;
             // Owned bank `b` lives at index `b / parts` (b ≡ p mod parts).
-            let mut channels: Vec<(Box<dyn TransferScheme>, desc_workloads::ValueStream)> =
-                (p..banks_n)
-                    .step_by(parts)
-                    .map(|b| {
-                        let replica = replicas[b]
-                            .lock()
-                            .expect("replica mutex poisoned")
-                            .take()
-                            .expect("each bank's replica is taken once");
-                        (replica, self.profile.value_stream_for_bank(self.seed, b))
-                    })
-                    .collect();
+            let mut channels: Vec<(Box<dyn TransferScheme>, desc_workloads::ValueStream)> = (p
+                ..banks_n)
+                .step_by(parts)
+                .map(|b| {
+                    let replica = replicas[b]
+                        .lock()
+                        .expect("replica mutex poisoned")
+                        .take()
+                        .expect("each bank's replica is taken once");
+                    (replica, self.profile.value_stream_for_bank(self.seed, b))
+                })
+                .collect();
             let mut sched = BankScheduler::new(banks_n);
-
-            for &Access { addr, write, core } in &warm_parts[p] {
-                let _ = l2.access(addr, write, core);
-            }
 
             let mut out = PartitionOut {
                 wire_energy_j: 0.0,
@@ -273,100 +256,97 @@ impl SnucaSim {
             // identical to the per-access scalar loop.
             let mut batches: Vec<ChannelBatch> =
                 (0..channels.len()).map(|_| ChannelBatch::new(cfg.l2.block_bytes)).collect();
-            let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
 
-            let drain = |channels: &mut [(Box<dyn TransferScheme>, desc_workloads::ValueStream)],
-                         batches: &mut [ChannelBatch],
-                         pending: &mut Vec<PendingAccess>,
-                         sched: &mut BankScheduler,
-                         out: &mut PartitionOut| {
-                if pending.is_empty() {
-                    return;
-                }
-                for (ch, batch) in batches.iter_mut().enumerate() {
-                    if batch.queued() > 0 {
-                        batch.encode(channels[ch].0.as_mut());
+            let drain =
+                |channels: &mut [(Box<dyn TransferScheme>, desc_workloads::ValueStream)],
+                 batches: &mut [ChannelBatch],
+                 queued: &[Outcome],
+                 sched: &mut BankScheduler,
+                 out: &mut PartitionOut| {
+                    if queued.is_empty() {
+                        return;
                     }
-                }
-                for pa in pending.drain(..) {
-                    let bank = pa.bank;
-                    let wire_lat = model.bank_latency_cycles(bank);
-                    let arrival = (f64::from(pa.idx) * base_cpa) as u64;
-                    out.array_energy_j += cache_model.tag_access_energy();
+                    for (ch, batch) in batches.iter_mut().enumerate() {
+                        if batch.queued() > 0 {
+                            batch.encode(channels[ch].0.as_mut());
+                        }
+                    }
+                    for o in queued {
+                        let bank = home_bank(o.addr, block_bytes, banks_n);
+                        let wire_lat = model.bank_latency_cycles(bank);
+                        let arrival = (f64::from(o.idx) * base_cpa) as u64;
+                        out.array_energy_j += cache_model.tag_access_energy();
 
-                    // (occupancy cycles, effective latency cycles) —
-                    // the effective window (Fig. 21) makes the
-                    // requester-visible latency shorter than the
-                    // port-occupancy window.
-                    let take = |out: &mut PartitionOut, batch: &mut ChannelBatch| -> (u64, u64) {
-                        let cost = batch.next_cost();
-                        let transitions = cost.total_transitions();
-                        out.transitions += transitions;
-                        out.wire_energy_j +=
-                            transitions as f64 * model.bank_energy_per_transition(bank);
-                        (cost.cycles, cost.latency())
-                    };
+                        // (occupancy cycles, effective latency cycles) —
+                        // the effective window (Fig. 21) makes the
+                        // requester-visible latency shorter than the
+                        // port-occupancy window.
+                        let take =
+                            |out: &mut PartitionOut, batch: &mut ChannelBatch| -> (u64, u64) {
+                                let cost = batch.next_cost();
+                                let transitions = cost.total_transitions();
+                                out.transitions += transitions;
+                                out.wire_energy_j +=
+                                    transitions as f64 * model.bank_energy_per_transition(bank);
+                                (cost.cycles, cost.latency())
+                            };
 
-                    let batch = &mut batches[bank / parts];
-                    if pa.miss {
-                        out.misses += 1;
-                        let (fill, fill_lat) = take(out, batch);
-                        out.array_energy_j += cache_model.array_write_energy();
-                        let mut service = ARRAY_CYCLES + fill;
-                        if pa.writeback {
-                            service += take(out, batch).0;
+                        let batch = &mut batches[bank / parts];
+                        if o.miss {
+                            out.misses += 1;
+                            let (fill, fill_lat) = take(out, batch);
+                            out.array_energy_j += cache_model.array_write_energy();
+                            let mut service = ARRAY_CYCLES + fill;
+                            if o.writeback {
+                                service += take(out, batch).0;
+                                out.array_energy_j += cache_model.array_read_energy();
+                            }
+                            let (start, queue) = sched.schedule(bank, arrival, service);
+                            out.events.push(MissEvent {
+                                idx: u64::from(o.idx),
+                                addr: o.addr,
+                                issue: start + ARRAY_CYCLES + wire_lat,
+                                arrival,
+                            });
+                            // The DRAM share (completion − arrival) is
+                            // added at the epoch barrier below.
+                            out.latency_sum += queue + fill_lat + iface;
+                        } else {
+                            out.hits += 1;
+                            let (cycles, lat) = take(out, batch);
                             out.array_energy_j += cache_model.array_read_energy();
+                            let latency = ARRAY_CYCLES + wire_lat + lat + iface;
+                            out.hit_latency_sum += latency;
+                            if telemetry {
+                                out.hit_latency_hist.record(latency);
+                            }
+                            let (_, queue) = sched.schedule(bank, arrival, ARRAY_CYCLES + cycles);
+                            out.latency_sum += latency + queue;
                         }
-                        let (start, queue) = sched.schedule(bank, arrival, service);
-                        out.events.push(MissEvent {
-                            idx: u64::from(pa.idx),
-                            addr: pa.addr,
-                            issue: start + ARRAY_CYCLES + wire_lat,
-                            arrival,
-                        });
-                        // The DRAM share (completion − arrival) is
-                        // added at the epoch barrier below.
-                        out.latency_sum += queue + fill_lat + iface;
-                    } else {
-                        out.hits += 1;
-                        let (cycles, lat) = take(out, batch);
-                        out.array_energy_j += cache_model.array_read_energy();
-                        let latency = ARRAY_CYCLES + wire_lat + lat + iface;
-                        out.hit_latency_sum += latency;
-                        if telemetry {
-                            out.hit_latency_hist.record(latency);
-                        }
-                        let (_, queue) = sched.schedule(bank, arrival, ARRAY_CYCLES + cycles);
-                        out.latency_sum += latency + queue;
                     }
-                }
-            };
-
-            let mut queued_blocks = 0usize;
-            for &(i, Access { addr, write, core }) in &meas_parts[p] {
-                let bank = home_bank(addr, block_bytes, banks_n);
-                // Queue the access's block(s) — the stream's scratch
-                // block is copied into the slab, so the draw order and
-                // bytes are identical to per-access transfers.
-                let (miss, writeback) = match l2.access(addr, write, core) {
-                    CacheOutcome::Hit => (false, false),
-                    CacheOutcome::Miss { writeback } => (true, writeback),
                 };
+
+            // Queue each access's block(s) — the stream's scratch block
+            // is copied into the slab, so the draw order and bytes are
+            // identical to per-access transfers.
+            let mut queued_blocks = 0usize;
+            let mut first_queued = 0;
+            for (i, o) in outcomes.iter().enumerate() {
+                let bank = home_bank(o.addr, block_bytes, banks_n);
                 let (_, values) = &mut channels[bank / parts];
                 let batch = &mut batches[bank / parts];
-                batch.push(values.next_block_ref());
-                queued_blocks += 1;
-                if miss && writeback {
+                for _ in 0..o.blocks() {
                     batch.push(values.next_block_ref());
-                    queued_blocks += 1;
                 }
-                pending.push(PendingAccess { idx: i, addr, bank, miss, writeback });
+                queued_blocks += o.blocks();
                 if queued_blocks >= FLUSH_CAP {
-                    drain(&mut channels, &mut batches, &mut pending, &mut sched, &mut out);
+                    let queued = &outcomes[first_queued..=i];
+                    drain(&mut channels, &mut batches, queued, &mut sched, &mut out);
                     queued_blocks = 0;
+                    first_queued = i + 1;
                 }
             }
-            drain(&mut channels, &mut batches, &mut pending, &mut sched, &mut out);
+            drain(&mut channels, &mut batches, &outcomes[first_queued..], &mut sched, &mut out);
             out.horizon = sched.horizon();
             out
         });
@@ -427,8 +407,7 @@ impl SnucaSim {
             desc_telemetry::counter!("sim.snuca.wire_transitions").add(transitions);
             desc_telemetry::counter!("sim.snuca.dram.accesses").add(dram.accesses());
             desc_telemetry::counter!("sim.snuca.dram.row_hits").add(dram.row_hits());
-            hit_latency_hist
-                .flush_into(desc_telemetry::histogram!("sim.snuca.hit_latency_cycles"));
+            hit_latency_hist.flush_into(desc_telemetry::histogram!("sim.snuca.hit_latency_cycles"));
             desc_telemetry::counter!("sim.snuca.runs").incr();
         }
 
@@ -520,10 +499,9 @@ mod tests {
         // any shard count, including with a stateful last-value
         // scheme whose wire state evolves per channel.
         desc_exec::configure(4);
-        for (kind, seed) in [
-            (SchemeKind::ZeroSkippedDesc, 2013u64),
-            (SchemeKind::LastValueSkippedDesc, 99),
-        ] {
+        for (kind, seed) in
+            [(SchemeKind::ZeroSkippedDesc, 2013u64), (SchemeKind::LastValueSkippedDesc, 99)]
+        {
             let serial = {
                 let mut cfg = SimConfig::paper_multithreaded();
                 cfg.shards = 1;

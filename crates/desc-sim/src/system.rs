@@ -1,10 +1,16 @@
 //! The top-level system simulation: trace → L2 directory → transfer
 //! scheme → bank/DRAM timing → execution time.
 //!
+//! A cell runs in two steps. The scheme-independent half — trace,
+//! directory warmup, the measured window's outcomes — is an
+//! [`AccessStream`] (see [`crate::stream`]), which any number of
+//! schemes can share; [`SystemSim::run_on`] is the per-scheme half.
+//!
 //! # Bank-sharded execution
 //!
 //! One simulation cell decomposes by L2 home bank: each bank owns a
-//! disjoint slice of the cache's sets ([`SetAssocCache::bank_slice`]),
+//! disjoint slice of the cache's sets
+//! ([`crate::cache::SetAssocCache::bank_slice`]),
 //! its own transfer channel (a [`TransferScheme::clone_box`] replica —
 //! wire state is per-channel, as in the S-NUCA model), its own address
 //! bus, and a value stream derived from `(seed, bank)`. Bank partitions
@@ -20,15 +26,14 @@
 
 use crate::bank::{home_bank, BankScheduler};
 use crate::batch::{ChannelBatch, FLUSH_CAP};
-use crate::cache::{CacheOutcome, SetAssocCache};
 use crate::config::SimConfig;
 use crate::dram::Dram;
 use crate::shard::{run_parts, run_parts_mut};
+use crate::stream::{AccessStream, Outcome, StreamSpec};
 use desc_cacti::cache::CacheActivity;
 use desc_cacti::CacheModel;
-use desc_core::wire::Bus;
 use desc_core::{CostSummary, TransferScheme};
-use desc_workloads::{Access, BenchmarkProfile};
+use desc_workloads::BenchmarkProfile;
 use std::sync::Mutex;
 
 /// Everything measured by one simulation run.
@@ -89,34 +94,15 @@ struct AccessRecord {
     base_latency: u64,
 }
 
-/// An access whose transfer cost(s) are still queued in the channel's
-/// [`ChannelBatch`]; the directory outcome and all order-insensitive
-/// counters were settled when it was enqueued.
-struct PendingAccess {
-    idx: u32,
-    addr: u64,
-    bank: usize,
-    kind: PendingKind,
-}
-
-/// Which transfer costs a pending access consumes at drain time: one
-/// for a hit or a clean miss fill, two for a miss with writeback.
-enum PendingKind {
-    Hit { write: bool },
-    Miss { writeback: bool },
-}
-
-/// One bank partition's functional-phase output. Every field merges
+/// One bank partition's encode-phase output. Every field merges
 /// order-independently (sums / summary merges / histogram absorbs).
 struct PartitionSim {
     records: Vec<AccessRecord>,
     transfer: CostSummary,
-    activity: CacheActivity,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
+    /// Data-transfer H-tree transitions (address-bus flips are in the
+    /// stream).
+    htree_transitions: u64,
     hit_latency_sum: u64,
-    invalidations: u64,
     hit_latency_hist: desc_telemetry::LocalHistogram,
 }
 
@@ -170,8 +156,25 @@ impl SystemSim {
         Self { config, profile, seed }
     }
 
+    /// The inputs of this simulation's scheme-independent half for an
+    /// `accesses`-long window (see [`AccessStream`]).
+    #[must_use]
+    pub fn stream_spec(&self, accesses: usize) -> StreamSpec {
+        let l2 = &self.config.l2;
+        StreamSpec {
+            profile: self.profile,
+            seed: self.seed,
+            accesses,
+            capacity_bytes: l2.capacity_bytes,
+            block_bytes: l2.block_bytes,
+            associativity: l2.associativity,
+            banks: l2.banks,
+        }
+    }
+
     /// Runs `accesses` L2 accesses through `scheme` and returns the
-    /// measured result.
+    /// measured result: builds the cell's [`AccessStream`], then
+    /// [`run_on`](Self::run_on) it.
     ///
     /// The cell is decomposed by home bank and the bank partitions are
     /// simulated on up to [`SimConfig::shards`] worker threads (see the
@@ -198,7 +201,26 @@ impl SystemSim {
     ///
     /// Panics if `accesses` is zero.
     pub fn run(&self, scheme: Box<dyn TransferScheme>, accesses: usize) -> SimResult {
-        assert!(accesses > 0, "simulate at least one access");
+        let stream = AccessStream::build(self.stream_spec(accesses), self.config.shards);
+        self.run_on(scheme, &stream)
+    }
+
+    /// The scheme half of [`run`](Self::run): replays `stream` through
+    /// `scheme` — each partition draws its bank's values in outcome
+    /// order and encodes them — then iterates the timing fixed point.
+    /// Bit-identical to `run` for any stream built from
+    /// [`stream_spec`](Self::stream_spec).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` was built from a different spec than this
+    /// simulation's.
+    pub fn run_on(&self, scheme: Box<dyn TransferScheme>, stream: &AccessStream) -> SimResult {
+        let accesses = stream.spec().accesses;
+        assert!(
+            *stream.spec() == self.stream_spec(accesses),
+            "stream was built for a different app, seed or L2 geometry"
+        );
         let cfg = &self.config;
         let model = CacheModel::new(cfg.l2);
         let is_desc = scheme.name().contains("DESC");
@@ -209,45 +231,8 @@ impl SystemSim {
         let miss_detect = model.miss_latency_cycles();
         let banks_n = cfg.l2.banks;
         let block_bytes = cfg.l2.block_bytes as u64;
-
-        // One partition per bank whenever the geometry decomposes (any
-        // power-of-two bank count up to the set count — set index and
-        // bank id are then both low block-address bits, so each bank
-        // owns whole sets). Otherwise a single partition simulates all
-        // banks; that degenerate shape is still shard-count invariant.
-        let capacity_blocks = cfg.l2.capacity_bytes / cfg.l2.block_bytes;
-        let set_count = capacity_blocks / cfg.l2.associativity;
-        let parts = if banks_n.is_power_of_two() && banks_n <= set_count { banks_n } else { 1 };
+        let parts = stream.parts.len();
         let threads = cfg.shards.max(1);
-
-        // The trace is generated once (one sequential RNG stream) and
-        // bucketed by owning partition *during* generation, so the
-        // functional phase touches every access exactly once
-        // process-wide — previously each partition re-scanned the
-        // whole shared trace through an `owns()` filter, which cost
-        // `parts × (warmup + accesses)` predicate checks per cell.
-        //
-        // Warmup brings the directory to steady state so measurements
-        // exclude cold-start compulsory misses (the paper runs
-        // applications to completion; we measure a steady-state
-        // window). Warmup touches the directory only — no transfers,
-        // no energy.
-        let warmup = (2 * capacity_blocks).max(accesses);
-        assert!(accesses < u32::MAX as usize, "measured window exceeds u32 program indices");
-        let mut trace_gen = self.profile.trace(self.seed);
-        let mut warm_parts: Vec<Vec<Access>> =
-            (0..parts).map(|_| Vec::with_capacity(warmup / parts + warmup / 16 + 8)).collect();
-        let mut meas_parts: Vec<Vec<(u32, Access)>> =
-            (0..parts).map(|_| Vec::with_capacity(accesses / parts + accesses / 16 + 8)).collect();
-        for i in 0..warmup + accesses {
-            let a = trace_gen.next_access();
-            let p = home_bank(a.addr, block_bytes, banks_n) % parts;
-            if i < warmup {
-                warm_parts[p].push(a);
-            } else {
-                meas_parts[p].push(((i - warmup) as u32, a));
-            }
-        }
 
         // Clone one scheme replica per bank channel up front (on this
         // thread — `clone_box` borrows the template), then let each
@@ -273,61 +258,42 @@ impl SystemSim {
         // per-access scalar path.
         let lv_penalty = self.config.last_value_write_penalty;
 
-        // ---- Functional phase: directory, transfers, transitions. ---
-        // Each partition owns its bank's directory slice, channel wire
-        // state, address bus, and value stream; partitions never share
-        // mutable state, so the worker threads need no synchronisation
-        // and the merge below is deterministic.
+        // ---- Encode phase: values, transfers, transitions. ----------
+        // Each partition owns its bank's channel wire state and value
+        // stream; partitions never share mutable state, so the worker
+        // threads need no synchronisation and the merge below is
+        // deterministic.
         let sims: Vec<PartitionSim> = run_parts(parts, threads, |p| {
-            let mut l2 = SetAssocCache::bank_slice(
-                cfg.l2.capacity_bytes,
-                cfg.l2.block_bytes,
-                cfg.l2.associativity,
-                parts,
-                p,
-            );
+            let outcomes = &stream.parts[p].outcomes;
             let mut scheme = replicas[p]
                 .lock()
                 .expect("replica mutex poisoned")
                 .take()
                 .expect("each partition takes its replica once");
             let mut values = self.profile.value_stream_for_bank(self.seed, p);
-            let mut addr_bus = Bus::new(48);
-
-            for &Access { addr, write, core } in &warm_parts[p] {
-                let _ = l2.access(addr, write, core);
-            }
-            let invalidations_at_warmup = l2.invalidations();
-
             let mut out = PartitionSim {
-                records: Vec::with_capacity(meas_parts[p].len()),
+                records: Vec::with_capacity(outcomes.len()),
                 transfer: CostSummary::new(),
-                activity: CacheActivity::default(),
-                hits: 0,
-                misses: 0,
-                writebacks: 0,
+                htree_transitions: 0,
                 hit_latency_sum: 0,
-                invalidations: 0,
                 hit_latency_hist: desc_telemetry::LocalHistogram::new(),
             };
             let mut batch = ChannelBatch::new(cfg.l2.block_bytes);
-            let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
 
-            // Replays the queued accesses against the drained costs in
-            // program order — the exact per-access bookkeeping the
-            // scalar loop did, just decoupled from encoding.
+            // Replays the queued outcomes against the drained costs in
+            // program order.
             let drain = |batch: &mut ChannelBatch,
-                             scheme: &mut Box<dyn TransferScheme>,
-                             pending: &mut Vec<PendingAccess>,
-                             out: &mut PartitionSim| {
-                if pending.is_empty() {
+                         scheme: &mut Box<dyn TransferScheme>,
+                         queued: &[Outcome],
+                         out: &mut PartitionSim| {
+                if queued.is_empty() {
                     return;
                 }
                 batch.encode(scheme.as_mut());
-                for pa in pending.drain(..) {
+                for o in queued {
                     let take = |out: &mut PartitionSim,
-                                    batch: &mut ChannelBatch,
-                                    write_dir: bool|
+                                batch: &mut ChannelBatch,
+                                write_dir: bool|
                      -> desc_core::TransferCost {
                         let cost = batch.next_cost();
                         out.transfer.record(cost);
@@ -340,128 +306,84 @@ impl SystemSim {
                             transitions +=
                                 (cost.data_transitions as f64 * lv_penalty).round() as u64;
                         }
-                        out.activity.htree_transitions += transitions;
+                        out.htree_transitions += transitions;
                         cost
                     };
-                    match pa.kind {
-                        PendingKind::Hit { write } => {
-                            let cost = take(out, batch, write);
-                            // Effective latency (Fig. 21 window model);
-                            // port occupancy uses the full window.
-                            let latency = array + tree + cost.latency() + iface;
-                            out.hit_latency_sum += latency;
-                            if telemetry {
-                                out.hit_latency_hist.record(latency);
-                            }
-                            out.records.push(AccessRecord {
-                                idx: u64::from(pa.idx),
-                                addr: pa.addr,
-                                bank: pa.bank,
-                                miss: false,
-                                service: array + cost.cycles,
-                                base_latency: latency,
-                            });
+                    let bank = home_bank(o.addr, block_bytes, banks_n);
+                    if !o.miss {
+                        let cost = take(out, batch, o.write);
+                        // Effective latency (Fig. 21 window model);
+                        // port occupancy uses the full window.
+                        let latency = array + tree + cost.latency() + iface;
+                        out.hit_latency_sum += latency;
+                        if telemetry {
+                            out.hit_latency_hist.record(latency);
                         }
-                        PendingKind::Miss { writeback } => {
-                            // Fill: one block moves over the H-tree
-                            // into the bank (and onward to the
-                            // requester).
-                            let fill = take(out, batch, true);
-                            let mut service = array + fill.cycles;
-                            if writeback {
-                                let wb = take(out, batch, false);
-                                service += wb.cycles;
-                            }
-                            out.records.push(AccessRecord {
-                                idx: u64::from(pa.idx),
-                                addr: pa.addr,
-                                bank: pa.bank,
-                                miss: true,
-                                service,
-                                // DRAM latency is added during the
-                                // timing phase.
-                                base_latency: miss_detect + fill.latency() + iface,
-                            });
+                        out.records.push(AccessRecord {
+                            idx: u64::from(o.idx),
+                            addr: o.addr,
+                            bank,
+                            miss: false,
+                            service: array + cost.cycles,
+                            base_latency: latency,
+                        });
+                    } else {
+                        // Fill: one block moves over the H-tree
+                        // into the bank (and onward to the
+                        // requester).
+                        let fill = take(out, batch, true);
+                        let mut service = array + fill.cycles;
+                        if o.writeback {
+                            let wb = take(out, batch, false);
+                            service += wb.cycles;
                         }
+                        out.records.push(AccessRecord {
+                            idx: u64::from(o.idx),
+                            addr: o.addr,
+                            bank,
+                            miss: true,
+                            service,
+                            // DRAM latency is added during the
+                            // timing phase.
+                            base_latency: miss_detect + fill.latency() + iface,
+                        });
                     }
                 }
             };
 
-            for &(i, Access { addr, write, core }) in &meas_parts[p] {
-                let bank = home_bank(addr, block_bytes, banks_n);
-                let outcome = l2.access(addr, write, core);
-                out.activity.tag_lookups += 1;
-                let addr_flips = u64::from(addr_bus.drive((addr >> 6) & ((1 << 48) - 1)));
-                out.activity.htree_transitions += addr_flips;
-
-                // Queue the access's block(s) — the stream's scratch
-                // block is copied into the slab, so the draw order and
-                // bytes are identical to per-access transfers. Counters
-                // that don't need the cost are settled here.
-                match outcome {
-                    CacheOutcome::Hit => {
-                        batch.push(values.next_block_ref());
-                        out.hits += 1;
-                        if write {
-                            out.activity.array_writes += 1;
-                        } else {
-                            out.activity.array_reads += 1;
-                        }
-                        pending.push(PendingAccess {
-                            idx: i,
-                            addr,
-                            bank,
-                            kind: PendingKind::Hit { write },
-                        });
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        batch.push(values.next_block_ref());
-                        out.misses += 1;
-                        out.activity.array_writes += 1;
-                        if writeback {
-                            out.writebacks += 1;
-                            batch.push(values.next_block_ref());
-                            out.activity.array_reads += 1;
-                        }
-                        pending.push(PendingAccess {
-                            idx: i,
-                            addr,
-                            bank,
-                            kind: PendingKind::Miss { writeback },
-                        });
-                    }
+            // Queue each access's block(s) — the stream's scratch block
+            // is copied into the slab, so the draw order and bytes are
+            // identical to per-access transfers.
+            let mut first_queued = 0;
+            for (i, o) in outcomes.iter().enumerate() {
+                for _ in 0..o.blocks() {
+                    batch.push(values.next_block_ref());
                 }
                 if batch.queued() >= FLUSH_CAP {
-                    drain(&mut batch, &mut scheme, &mut pending, &mut out);
+                    drain(&mut batch, &mut scheme, &outcomes[first_queued..=i], &mut out);
+                    first_queued = i + 1;
                 }
             }
-            drain(&mut batch, &mut scheme, &mut pending, &mut out);
-            out.invalidations = l2.invalidations() - invalidations_at_warmup;
+            drain(&mut batch, &mut scheme, &outcomes[first_queued..], &mut out);
             out
         });
 
         // Deterministic functional merge, fixed bank order.
         let mut transfer_stats = CostSummary::new();
         let mut activity = CacheActivity::default();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut writebacks = 0u64;
         let mut hit_latency_sum = 0u64;
-        let mut invalidations = 0u64;
         let mut hit_latency_hist = desc_telemetry::LocalHistogram::new();
-        for sim in &sims {
+        for (sim, part) in sims.iter().zip(&stream.parts) {
             transfer_stats.merge(&sim.transfer);
-            activity.htree_transitions += sim.activity.htree_transitions;
-            activity.array_reads += sim.activity.array_reads;
-            activity.array_writes += sim.activity.array_writes;
-            activity.tag_lookups += sim.activity.tag_lookups;
-            hits += sim.hits;
-            misses += sim.misses;
-            writebacks += sim.writebacks;
+            activity.htree_transitions += sim.htree_transitions + part.addr_flips;
+            activity.array_reads += part.array_reads;
+            activity.array_writes += part.array_writes;
+            activity.tag_lookups += part.outcomes.len() as u64;
             hit_latency_sum += sim.hit_latency_sum;
-            invalidations += sim.invalidations;
             hit_latency_hist.absorb(&sim.hit_latency_hist);
         }
+        let (hits, misses) = (stream.hits(), stream.misses());
+        let (writebacks, invalidations) = (stream.writebacks(), stream.invalidations());
 
         // ---- Timing phase: iterate arrivals to a fixed point. -------
         // Each pass: (A) banks advance independently per partition,
@@ -608,7 +530,11 @@ impl SystemSim {
             misses,
             writebacks,
             invalidations,
-            avg_hit_latency_cycles: if hits > 0 { hit_latency_sum as f64 / hits as f64 } else { 0.0 },
+            avg_hit_latency_cycles: if hits > 0 {
+                hit_latency_sum as f64 / hits as f64
+            } else {
+                0.0
+            },
             avg_access_latency_cycles: latency_sum as f64 / accesses as f64,
             exec_cycles,
             exec_time_s,
@@ -656,8 +582,7 @@ mod tests {
         let bin = quick(SchemeKind::ConventionalBinary, BenchmarkId::Swim, 10_000);
         let desc = quick(SchemeKind::ZeroSkippedDesc, BenchmarkId::Swim, 10_000);
         assert!(
-            (desc.activity.htree_transitions as f64)
-                < 0.8 * bin.activity.htree_transitions as f64,
+            (desc.activity.htree_transitions as f64) < 0.8 * bin.activity.htree_transitions as f64,
             "DESC {} vs binary {}",
             desc.activity.htree_transitions,
             bin.activity.htree_transitions
@@ -695,11 +620,7 @@ mod tests {
         // LU fits in 8 MB (2 MB footprint) → low miss rate; MCF's
         // 64 MB streaming footprint → high miss rate.
         let lu = quick(SchemeKind::ConventionalBinary, BenchmarkId::Lu, 20_000);
-        let sim = SystemSim::new(
-            SimConfig::paper_out_of_order(),
-            BenchmarkId::Mcf.profile(),
-            7,
-        );
+        let sim = SystemSim::new(SimConfig::paper_out_of_order(), BenchmarkId::Mcf.profile(), 7);
         let mcf = sim.run(SchemeKind::ConventionalBinary.build_paper_config(), 20_000);
         assert!(lu.miss_rate() < 0.25, "LU miss rate {:.3}", lu.miss_rate());
         assert!(mcf.miss_rate() > 0.3, "MCF miss rate {:.3}", mcf.miss_rate());
@@ -739,7 +660,11 @@ mod tests {
         // both machine models and for stateful (last-value) schemes.
         desc_exec::configure(4);
         for (mk, kind, seed) in [
-            (SimConfig::paper_multithreaded as fn() -> SimConfig, SchemeKind::ZeroSkippedDesc, 2013u64),
+            (
+                SimConfig::paper_multithreaded as fn() -> SimConfig,
+                SchemeKind::ZeroSkippedDesc,
+                2013u64,
+            ),
             (SimConfig::paper_out_of_order, SchemeKind::LastValueSkippedDesc, 99),
         ] {
             let serial = {

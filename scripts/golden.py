@@ -9,6 +9,12 @@ experiment, in `--list` order).
 
     python3 scripts/golden.py check    # exit 1 on any mismatch
     python3 scripts/golden.py update   # rewrite the digest file
+    python3 scripts/golden.py full     # full-scale run vs repro_full.txt
+
+`full` runs `repro --quiet --jobs 2 all` (about a minute on two cores)
+and diffs its stdout against the committed repro_full.txt, ignoring the
+`[<exp> completed in <N>s]` timing lines. Run it for any change to
+desc-sim, desc-core or desc-workloads.
 
 Builds the release `repro` binary first (cargo, offline-capable; the
 workspace has no external dependencies). A change that is meant to
@@ -16,14 +22,18 @@ move a figure regenerates the file with `update` and says so; any
 other change must leave `check` green.
 """
 
+import difflib
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "golden" / "quick-2013.sha256"
+FULL = ROOT / "repro_full.txt"
 REPRO = ROOT / "target" / "release" / "repro"
+TIMING = re.compile(r"^\[\S+ completed in [0-9.]+s\]$")
 
 
 def build():
@@ -58,12 +68,32 @@ def load():
     return pinned
 
 
+def untimed(text):
+    return [line for line in text.splitlines() if not TIMING.match(line)]
+
+
+def full():
+    out = subprocess.run(
+        [REPRO, "--quiet", "--jobs", "2", "all"], check=True, capture_output=True, text=True
+    )
+    want, got = untimed(FULL.read_text()), untimed(out.stdout)
+    if want != got:
+        diff = difflib.unified_diff(want, got, "repro_full.txt", "repro all", lineterm="")
+        print("golden: full-scale output diverged from repro_full.txt:", file=sys.stderr)
+        print("\n".join(list(diff)[:60]), file=sys.stderr)
+        return 1
+    print(f"golden: full-scale output matches repro_full.txt ({len(want)} lines)")
+    return 0
+
+
 def main(argv):
-    if len(argv) != 2 or argv[1] not in ("check", "update"):
+    if len(argv) != 2 or argv[1] not in ("check", "update", "full"):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: golden.py check|update", file=sys.stderr)
+        print("usage: golden.py check|update|full", file=sys.stderr)
         return 2
     build()
+    if argv[1] == "full":
+        return full()
     digests = current()
     if argv[1] == "update":
         DIGESTS.parent.mkdir(parents=True, exist_ok=True)
